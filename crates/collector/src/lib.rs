@@ -5,8 +5,9 @@
 //! The shape (DESIGN.md §14): producers [`SpanSender::submit`] spans into
 //! per-shard `channel::mpsc` lanes (shard = trace id mod shards, so a
 //! trace's spans stay FIFO through one lane); batching workers sweep
-//! disjoint lane subsets with `recv_batch`, flush on size or deadline,
-//! and park across all their lanes with `channel::recv_any` when idle;
+//! disjoint lane subsets with `channel::recv_any_batch`, flush on size or
+//! deadline, and park across all their lanes until the rest of the batch
+//! has arrived (or the deadline passes) when idle;
 //! a single exporter stage applies a bounded [`RetryPolicy`] around a
 //! pluggable [`Exporter`] sink, with a [`FaultInjector`] seam
 //! ([`FailEvery`], [`StallFor`]) shared by the tests, the DST model, and

@@ -315,51 +315,34 @@ impl Worker {
         let mut buf: Vec<Span> = Vec::with_capacity(self.batch_max);
         let mut opened: Option<Instant> = None;
         loop {
-            // Sweep every lane while there is room in the batch. A lane
-            // that closed mid-sweep just yields nothing here; recv_any
-            // below is what detects all-closed.
-            let mut got = 0;
-            for rx in self.lanes.iter_mut() {
-                let room = self.batch_max - buf.len();
-                if room == 0 {
-                    break;
-                }
-                got += rx.recv_batch(&mut buf, room);
-            }
-            if opened.is_none() && !buf.is_empty() {
-                opened = Some(Instant::now());
-            }
-            if buf.len() >= self.batch_max {
-                self.flush(&mut buf, &mut opened, false);
-                continue;
-            }
-            if let Some(o) = opened {
-                if o.elapsed() >= self.flush_after {
-                    self.flush(&mut buf, &mut opened, true);
-                    continue;
-                }
-            }
-            if got > 0 {
-                // Data is flowing; keep sweeping rather than parking.
-                continue;
-            }
-            // Idle. Park across all lanes; a pending deadline bounds the
-            // wait so a lone buffered span still ships on time.
+            // Sweep every lane into the batch; park only when all are
+            // empty. An empty buffer waits for one span, whose arrival
+            // starts the `flush_after` clock; a started batch waits for
+            // the rest of itself, so the lanes' ring producers wake this
+            // thread about once per batch instead of once per burst. The
+            // pending deadline bounds the wait either way, so a lone
+            // buffered span still ships on time.
+            let room = self.batch_max - buf.len();
+            let want = if buf.is_empty() { 1 } else { room };
             let timeout = opened.map(|o| self.flush_after.saturating_sub(o.elapsed()));
-            match channel::recv_any(&mut self.lanes, timeout) {
-                Ok((_, span)) => {
+            match channel::recv_any_batch(&mut self.lanes, &mut buf, room, want, timeout) {
+                Ok(_) => {
                     if opened.is_none() {
                         opened = Some(Instant::now());
                     }
-                    buf.push(span);
                 }
-                Err(RecvError::Timeout) => self.flush(&mut buf, &mut opened, true),
+                Err(RecvError::Timeout) => {}
                 Err(RecvError::Closed) => {
                     // Every lane closed *and* drained: the shutdown
                     // ripple. Ship what is buffered and retire.
                     self.flush(&mut buf, &mut opened, false);
                     return;
                 }
+            }
+            if buf.len() >= self.batch_max {
+                self.flush(&mut buf, &mut opened, false);
+            } else if opened.is_some_and(|o| o.elapsed() >= self.flush_after) {
+                self.flush(&mut buf, &mut opened, true);
             }
         }
     }

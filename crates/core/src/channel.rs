@@ -79,7 +79,7 @@
 
 use crate::shard::OwnedShardedHandle;
 use crate::sync::{
-    DequeueFuture, EnqueueFuture, RecvError, SendError, SyncQueue, SyncState,
+    DequeueFuture, EnqueueFuture, Eventcount, RecvError, SendError, SyncQueue, SyncState,
 };
 use crate::topology::{TopoCore, TopoEndpoint};
 use crate::unbounded::{OwnedUnboundedHandle, WcqInner};
@@ -247,7 +247,8 @@ pub fn mpsc_with_config<T: Send>(
 /// Receives from whichever of `rxs` has a value first — the minimal
 /// `select`-style multi-queue wait the facade otherwise lacks (flushed out
 /// by the span-collector pipeline, which sweeps one MPSC lane per shard
-/// and must park when *all* of them are empty; DESIGN.md §14).
+/// and must park when *all* of them are empty; DESIGN.md §14). It is the
+/// want-1 case of [`recv_any_batch`]: both run one parking loop.
 ///
 /// Semantics:
 ///
@@ -262,7 +263,9 @@ pub fn mpsc_with_config<T: Send>(
 ///   [`RecvError::Timeout`] after one final sweep, exactly like
 ///   [`Receiver::recv_timeout`].
 /// * [`RecvError::Closed`] means every lane is closed **and** drained —
-///   the collective analogue of a single receiver's `Closed`.
+///   the collective analogue of a single receiver's `Closed`. A lane that
+///   closes while the caller is registering is re-examined before the
+///   caller parks, so the last sender's drop always ends the wait.
 ///
 /// A lane holding stranded ring residue (closed, but the values sit
 /// behind a consumer seat held elsewhere — DESIGN.md §11) is treated as
@@ -295,40 +298,124 @@ pub fn recv_any<T: Send>(
     rxs: &mut [Receiver<T>],
     timeout: Option<Duration>,
 ) -> Result<(usize, T), RecvError> {
+    let mut found = None;
+    wait_any(rxs, 1, 1, timeout, |lane, rx, _| {
+        found = Some((lane, rx.try_recv()?));
+        Ok(1)
+    })?;
+    Ok(found.expect("wait_any reports Ok only after a take"))
+}
+
+/// Batch form of [`recv_any`]: sweeps the lanes in index order, appending
+/// up to `max` values to `out`, and returns how many it appended.
+///
+/// A sweep that finds anything returns at once. Only when every lane is
+/// empty does the caller park, and then it waits for **`want`** values
+/// (clamped to `1..=max`) rather than one: it registers on each open
+/// lane with that lane's share, `ceil(want / open lanes)`, and the
+/// lanes' producers skip the wakeup until one of them holds its share.
+/// That happens no later than the moment the lanes together hold `want`
+/// values, so a consumer that needs a whole batch is woken once per batch
+/// instead of once per producer burst. Only SPSC-ring lanes
+/// ([`spsc`]/[`mpsc`], consumer seat held, no spine) defer their wakeups,
+/// and a ring that fills up wakes the caller whatever `want` is; every
+/// other lane wakes the caller on its first value, as in `recv_any`.
+///
+/// Timeouts, `Closed` and stranded residue behave exactly as in
+/// `recv_any`: [`RecvError::Timeout`] after a final empty sweep,
+/// [`RecvError::Closed`] once every lane is closed and drained.
+///
+/// # Example
+///
+/// ```
+/// use wcq::channel;
+///
+/// let (mut tx, rx) = channel::spsc::<u32>(4, 2);
+/// let mut lanes = [rx];
+/// let producer = std::thread::spawn(move || {
+///     for v in 0..8 {
+///         tx.send(v).unwrap();
+///     }
+/// });
+/// let mut out = Vec::new();
+/// while out.len() < 8 {
+///     let room = 8 - out.len();
+///     // Parks (if it must) until the lane holds the rest of the batch.
+///     channel::recv_any_batch(&mut lanes, &mut out, room, room, None).unwrap();
+/// }
+/// producer.join().unwrap();
+/// assert_eq!(out, (0..8).collect::<Vec<_>>());
+/// ```
+///
+/// # Panics
+///
+/// If `rxs` is empty or `max` is 0.
+pub fn recv_any_batch<T: Send>(
+    rxs: &mut [Receiver<T>],
+    out: &mut Vec<T>,
+    max: usize,
+    want: usize,
+    timeout: Option<Duration>,
+) -> Result<usize, RecvError> {
+    assert!(max > 0, "recv_any_batch with no room");
+    wait_any(rxs, max, want.clamp(1, max), timeout, |_, rx, room| {
+        rx.try_recv_batch(out, room)
+    })
+}
+
+/// One lane's part in a multi-lane wait ([`wait_any`]), kept in the
+/// receiver so that a parking round allocates nothing.
+#[derive(Clone, Copy, Default)]
+struct LaneWait {
+    /// Epoch snapshot taken before the lane's last sweep.
+    key: u64,
+    /// The registration on the lane's `not_empty`, while registered.
+    token: Option<u64>,
+    /// The level registered with: the lane's share of `want`, or 1.
+    level: usize,
+    /// The lane reported `Closed` in the last sweep.
+    closed: bool,
+}
+
+/// The parking loop behind [`recv_any`] and [`recv_any_batch`]. `take`
+/// sweeps one lane into the caller's output, taking at most the room it
+/// is given; the loop returns as soon as a sweep took anything, and
+/// otherwise parks until some lane's producers reach its share of `want`.
+fn wait_any<T: Send>(
+    rxs: &mut [Receiver<T>],
+    max: usize,
+    want: usize,
+    timeout: Option<Duration>,
+    mut take: impl FnMut(usize, &mut Receiver<T>, usize) -> Result<usize, TryRecvError>,
+) -> Result<usize, RecvError> {
     assert!(!rxs.is_empty(), "recv_any over zero receivers");
     let deadline = timeout.map(|t| Instant::now() + t);
-    // One registration token per lane, reused across rounds.
-    let mut tokens: Vec<Option<u64>> = (0..rxs.len()).map(|_| None).collect();
-    let mut keys: Vec<u64> = vec![0; rxs.len()];
-    let mut dead: Vec<bool> = vec![false; rxs.len()];
-    let cancel_all = |rxs: &[Receiver<T>], tokens: &mut [Option<u64>]| {
-        for (rx, t) in rxs.iter().zip(tokens.iter_mut()) {
-            if let Some(token) = t.take() {
-                rx.shared.backend.sync_state().not_empty().cancel(token);
-            }
-        }
-    };
     loop {
-        // Phase 1: snapshot each lane's epoch, then probe it. The order
+        // Phase 1: snapshot each lane's epoch, then sweep it. The order
         // (listen before probe) is the usual eventcount discipline: a
         // value that lands after the probe bumps the epoch past our key,
-        // so registration below refuses and we re-probe.
-        let mut open = 0usize;
-        let mut limbo = false;
-        for i in 0..rxs.len() {
-            keys[i] = rxs[i].shared.backend.sync_state().not_empty().listen();
-            match rxs[i].try_recv() {
-                Ok(v) => return Ok((i, v)),
+        // so registration below refuses and we sweep again.
+        let (mut taken, mut open, mut limbo) = (0, 0, false);
+        for (lane, rx) in rxs.iter_mut().enumerate() {
+            if taken == max {
+                break;
+            }
+            rx.wait.key = rx.not_empty().listen();
+            rx.wait.closed = false;
+            match take(lane, rx, max - taken) {
+                Ok(n) => taken += n,
                 Err(TryRecvError::Empty) => {
-                    dead[i] = false;
                     open += 1;
                     // Closed but `Empty`: stranded residue (see try_recv).
                     // Parking would race the seat holder's final pop —
                     // stay awake until the residue surfaces or drains.
-                    limbo |= rxs[i].shared.is_closed();
+                    limbo |= rx.shared.is_closed();
                 }
-                Err(TryRecvError::Closed) => dead[i] = true,
+                Err(TryRecvError::Closed) => rx.wait.closed = true,
             }
+        }
+        if taken > 0 {
+            return Ok(taken);
         }
         if open == 0 {
             return Err(RecvError::Closed);
@@ -340,23 +427,19 @@ pub fn recv_any<T: Send>(
             crate::sim::yield_now();
             continue;
         }
-        // Phase 2: register on every open lane. A refusal means that
+        // Phase 2: register on every open lane at its level, then pay
+        // one waiter barrier for the whole round. A refusal means that
         // lane was notified since phase 1 — new data may be sweepable,
         // so drop all registrations and start over.
+        let share = want.div_ceil(open);
         let mut refused = false;
-        for i in 0..rxs.len() {
-            if dead[i] {
-                // Lane reported Closed in phase 1; nothing to wait for.
-                continue;
-            }
-            match rxs[i]
-                .shared
-                .backend
-                .sync_state()
+        for rx in rxs.iter_mut().filter(|rx| !rx.wait.closed) {
+            rx.wait.level = if rx.honours_level() { share } else { 1 };
+            match rx
                 .not_empty()
-                .register_thread(keys[i])
+                .register_thread_unfenced(rx.wait.key, rx.wait.level)
             {
-                Some(token) => tokens[i] = Some(token),
+                Some(token) => rx.wait.token = Some(token),
                 None => {
                     refused = true;
                     break;
@@ -364,26 +447,43 @@ pub fn recv_any<T: Send>(
             }
         }
         if refused {
-            cancel_all(rxs, &mut tokens);
+            cancel_all(rxs);
             continue;
         }
-        // Phase 3: post-registration re-probe (the Dekker step — a
-        // producer whose no-waiter fast path missed us must now be
-        // visible to this sweep).
-        for i in 0..rxs.len() {
-            if let Ok(v) = rxs[i].try_recv() {
-                cancel_all(rxs, &mut tokens);
-                return Ok((i, v));
+        crate::sync::waiter_barrier();
+        // Phase 3: post-registration re-check (the Dekker step — a
+        // producer whose fast path missed us must now be visible here).
+        // A level-1 lane is swept; a level lane is asked whether some
+        // ring holds its share, the question its producers ask before
+        // skipping a wakeup. A lane that closed since phase 1 goes back
+        // to the top to arbitrate Closed versus residue: its `close` may
+        // have looked for waiters before we registered, and then nobody
+        // would wake us.
+        let mut again = false;
+        for (lane, rx) in rxs.iter_mut().enumerate() {
+            if rx.wait.token.is_none() {
+                continue;
             }
+            if rx.wait.level > 1 {
+                again |= rx.level_reached(rx.wait.level);
+            } else if let Ok(n) = take(lane, rx, max) {
+                cancel_all(rxs);
+                return Ok(n);
+            }
+            again |= rx.shared.is_closed();
+        }
+        if again {
+            cancel_all(rxs);
+            continue;
         }
         // Phase 4: park until any registered epoch moves or the deadline
         // passes. Each lane's notify wakes this thread (thread parking is
-        // process-global), and the moved epoch tells us which.
+        // process-global), and the moved epoch tells us which. A timeout
+        // falls through to the top, whose sweep is the final look.
         loop {
-            let moved = (0..rxs.len()).any(|i| {
-                tokens[i].is_some()
-                    && rxs[i].shared.backend.sync_state().not_empty().listen() != keys[i]
-            });
+            let moved = rxs
+                .iter()
+                .any(|rx| rx.wait.token.is_some() && rx.not_empty().listen() != rx.wait.key);
             if moved {
                 break;
             }
@@ -392,20 +492,22 @@ pub fn recv_any<T: Send>(
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        cancel_all(rxs, &mut tokens);
-                        // One final sweep keeps the result honest.
-                        for (i, rx) in rxs.iter_mut().enumerate() {
-                            if let Ok(v) = rx.try_recv() {
-                                return Ok((i, v));
-                            }
-                        }
-                        return Err(RecvError::Timeout);
+                        break;
                     }
                     crate::sim::park_timeout(d - now);
                 }
             }
         }
-        cancel_all(rxs, &mut tokens);
+        cancel_all(rxs);
+    }
+}
+
+/// Drops every registration a [`wait_any`] round made.
+fn cancel_all<T: Send>(rxs: &mut [Receiver<T>]) {
+    for rx in rxs.iter_mut() {
+        if let Some(token) = rx.wait.token.take() {
+            rx.not_empty().cancel(token);
+        }
     }
 }
 
@@ -423,6 +525,7 @@ fn endpoints<T: Send>(backend: Backend<T>) -> (Sender<T>, Receiver<T>) {
         Receiver {
             shared,
             cache: None,
+            wait: LaneWait::default(),
         },
     )
 }
@@ -750,6 +853,8 @@ impl<T: Send> Drop for Sender<T> {
 pub struct Receiver<T: Send> {
     shared: Arc<Shared<T>>,
     cache: Option<Endpoint<T>>,
+    /// This lane's registration state during [`recv_any`]/[`recv_any_batch`].
+    wait: LaneWait,
 }
 
 impl<T: Send> Receiver<T> {
@@ -784,6 +889,46 @@ impl<T: Send> Receiver<T> {
                 }
             }
             None => Err(TryRecvError::Empty),
+        }
+    }
+
+    /// [`Self::try_recv`]'s batch twin, for [`recv_any_batch`]: `Ok(n)`
+    /// with `n > 0` values appended, `Empty`, or `Closed` once the channel
+    /// is closed and drained (stranded residue counts as `Empty`).
+    fn try_recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> Result<usize, TryRecvError> {
+        let n = self.recv_batch(out, max);
+        if n > 0 {
+            return Ok(n);
+        }
+        if !self.shared.is_closed() {
+            return Err(TryRecvError::Empty);
+        }
+        // Drain race and stranded residue, exactly as in `try_recv`.
+        match self.recv_batch(out, max) {
+            0 if self.endpoint().residue_hint() => Err(TryRecvError::Empty),
+            0 => Err(TryRecvError::Closed),
+            n => Ok(n),
+        }
+    }
+
+    /// The eventcount this receiver parks on.
+    fn not_empty(&self) -> &Eventcount {
+        self.shared.backend.sync_state().not_empty()
+    }
+
+    /// Whether this lane's producers defer wakeups until a level (see
+    /// [`recv_any_batch`]): only a seated topology consumer's rings do.
+    fn honours_level(&self) -> bool {
+        matches!(&self.cache, Some(Endpoint::Topo(h)) if h.honours_level())
+    }
+
+    /// Post-registration re-check at `level` (see
+    /// `TopoEndpoint::level_reached`); only asked of lanes that honour
+    /// levels.
+    fn level_reached(&self, level: usize) -> bool {
+        match &self.cache {
+            Some(Endpoint::Topo(h)) => h.level_reached(level),
+            _ => true,
         }
     }
 
@@ -831,6 +976,7 @@ impl<T: Send> Clone for Receiver<T> {
         Receiver {
             shared: Arc::clone(&self.shared),
             cache: None,
+            wait: LaneWait::default(),
         }
     }
 }

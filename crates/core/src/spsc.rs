@@ -211,6 +211,17 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         self.cons.head.load(Acquire) == self.prod.tail.load(Acquire)
     }
 
+    /// Number of elements observable, for either endpoint: each side reads
+    /// its own index exactly and the peer's possibly stale, so the
+    /// producer may **over**estimate (a stale `head`) and the consumer may
+    /// underestimate (a stale `tail`), never the other way round. `head`
+    /// is read first, so even a third party never sees `head > tail`.
+    /// Advisory, like [`Self::is_empty_hint`].
+    pub(crate) fn len_hint(&self) -> usize {
+        let head = self.cons.head.load(Acquire);
+        self.prod.tail.load(Acquire).wrapping_sub(head)
+    }
+
     /// Consumes the ring into its unique endpoint pair — the safe API.
     pub fn split(self) -> (Producer<T, L>, Consumer<T, L>) {
         let ring = Arc::new(self);

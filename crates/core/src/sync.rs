@@ -79,7 +79,7 @@
 use crossbeam_utils::CachePadded;
 use std::future::Future;
 use std::pin::Pin;
-use crate::sim::{AtomicBool, AtomicU64, AtomicUsize, Mutex};
+use crate::sim::{AtomicBool, AtomicU64, Mutex};
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
@@ -310,13 +310,26 @@ impl WaiterKind {
     }
 }
 
+/// One registered waiter: its deregistration token, the number of items it
+/// needs before a level-aware notifier must wake it, and what to wake.
+struct Waiter {
+    token: u64,
+    level: u32,
+    kind: WaiterKind,
+}
+
 /// Registered waiters, keyed by a monotone token so timed-out or dropped
 /// waiters can deregister themselves exactly.
 #[derive(Default)]
 struct WaiterList {
     next_token: u64,
-    entries: Vec<(u64, WaiterKind)>,
+    entries: Vec<Waiter>,
 }
+
+/// Bits of [`Eventcount`]'s `waiting` word that hold the waiter count; the
+/// bits above hold the minimum level over those waiters.
+const COUNT_MASK: u64 = u32::MAX as u64;
+const LEVEL_SHIFT: u32 = 32;
 
 /// A futex-style eventcount: `listen` snapshots an epoch, `notify_all`
 /// bumps it and wakes every registered waiter, and waiters park only after
@@ -330,11 +343,26 @@ struct WaiterList {
 ///
 /// `notify_all` with no waiters is a single `SeqCst` load — cheap enough
 /// to sit after every successful queue operation.
+///
+/// # Levels
+///
+/// Each waiter registers a **level**: how many items it needs before it is
+/// worth waking (every blocking and async path registers 1). The count and
+/// the minimum level over the registered waiters share one word, so a
+/// level-aware notifier (`notify_all_fenced_level`) reads both
+/// with the same single load it already spends on the count, and may skip
+/// the wakeup while its own backlog is below its share of that minimum.
+/// The waiter's half is symmetric: its post-registration re-check asks
+/// the same question ("has some producer reached its share?") instead of
+/// "is anything there?". Either the notifier saw the registration and its
+/// level, or the waiter's re-check sees the push — DESIGN.md §9.
 pub struct Eventcount {
     /// Bumped on every delivered notification; `listen` keys against it.
     epoch: AtomicU64,
-    /// Mirror of `waiters.entries.len()`, readable without the lock.
-    nwaiters: AtomicUsize,
+    /// Waiter count (low 32 bits) and the minimum level over those
+    /// waiters (high 32 bits), readable without the lock; 0 when nobody
+    /// waits.
+    waiting: AtomicU64,
     waiters: Mutex<WaiterList>,
 }
 
@@ -349,7 +377,7 @@ impl Eventcount {
     pub fn new() -> Self {
         Eventcount {
             epoch: AtomicU64::new(0),
-            nwaiters: AtomicUsize::new(0),
+            waiting: AtomicU64::new(0),
             waiters: Mutex::new(WaiterList::default()),
         }
     }
@@ -358,7 +386,7 @@ impl Eventcount {
     /// condition you are about to wait on.
     ///
     /// `Relaxed` is enough: the epoch key is *not* part of the Dekker
-    /// no-lost-wakeup pair (that is `nwaiters` vs the caller's state
+    /// no-lost-wakeup pair (that is `waiting` vs the caller's state
     /// change — see the struct docs). The key only prevents parking on a
     /// notification that already happened, and the register path re-reads
     /// the epoch **under the waiter mutex**: a stale snapshot at worst
@@ -373,8 +401,9 @@ impl Eventcount {
         self.epoch.load(Relaxed)
     }
 
-    /// Wakes every registered waiter. A no-op (single load) when nobody is
-    /// registered. Call it **after** the state change it advertises.
+    /// Wakes every registered waiter, whatever its level. A no-op (single
+    /// load) when nobody is registered. Call it **after** the state change
+    /// it advertises.
     ///
     /// The no-lost-wakeup pairing assumes the caller's state change ends in
     /// an RMW or `SeqCst` store (true of every CAS/F&A-based queue here) so
@@ -383,7 +412,7 @@ impl Eventcount {
     /// [`Self::notify_all_fenced`] instead.
     #[inline]
     pub fn notify_all(&self) {
-        if self.nwaiters.load(SeqCst) == 0 {
+        if self.waiting.load(SeqCst) == 0 {
             return;
         }
         self.notify_slow();
@@ -402,10 +431,28 @@ impl Eventcount {
     /// fence before the count check.
     #[inline]
     pub fn notify_all_fenced(&self) {
+        self.notify_all_fenced_level(|_| true);
+    }
+
+    /// [`Self::notify_all_fenced`] for a notifier that honours levels:
+    /// when waiters are registered, `reached` gets the minimum level over
+    /// them and says whether the caller's state meets its share of it; if
+    /// not, nobody is woken. The no-waiter path is the same single load as
+    /// `notify_all_fenced` — `reached` runs only when someone waits.
+    ///
+    /// `reached` may overestimate the caller's backlog (waking early is
+    /// always safe) but must never underestimate it, and it must agree
+    /// with the waiters' post-registration re-check: a waiter whose
+    /// re-check finds no share reached parks, trusting that the push which
+    /// reaches one will call `notify_slow`. Return `true` for level 1 so a
+    /// plain waiter is woken exactly as by `notify_all_fenced`.
+    #[inline]
+    pub(crate) fn notify_all_fenced_level(&self, reached: impl FnOnce(usize) -> bool) {
         if !asymfence::enabled() {
             crate::sim::fence(SeqCst);
         }
-        if self.nwaiters.load(Relaxed) == 0 {
+        let w = self.waiting.load(Relaxed);
+        if w == 0 || !reached((w >> LEVEL_SHIFT) as usize) {
             return;
         }
         self.notify_slow();
@@ -422,33 +469,58 @@ impl Eventcount {
             // this very notification, wakes, sees its key still current,
             // and re-parks with nobody left to wake it.
             self.epoch.fetch_add(1, SeqCst);
-            self.nwaiters.store(0, SeqCst);
+            self.waiting.store(0, SeqCst);
             std::mem::take(&mut l.entries)
         };
         // Wake outside the lock: `Waker::wake` may run executor code.
-        for (_, w) in woken {
-            w.wake();
+        for w in woken {
+            w.kind.wake();
         }
+    }
+
+    /// Republishes the count and minimum level after `entries` changed.
+    /// Called under the waiter mutex. The `SeqCst` store is the waiter's
+    /// half of the Dekker pair.
+    fn publish(&self, l: &WaiterList) {
+        let level = l.entries.iter().map(|w| w.level).min().unwrap_or(0);
+        let count = l.entries.len() as u64;
+        self.waiting
+            .store(u64::from(level) << LEVEL_SHIFT | count, SeqCst);
     }
 
     /// Registers the calling thread as a waiter, or returns `None` if the
     /// epoch already moved past `key` (a notification slipped in — retry
     /// the condition instead of parking).
     pub fn register_thread(&self, key: u64) -> Option<u64> {
+        let token = self.register_thread_unfenced(key, 1)?;
+        waiter_barrier();
+        Some(token)
+    }
+
+    /// Registers the calling thread as a waiter that needs `level` items
+    /// (clamped to `1..=u32::MAX`), **without** the waiter's half of the
+    /// asymmetric fence: call [`waiter_barrier`] after the last
+    /// registration and before the post-registration re-check. A waiter
+    /// parking on many eventcounts at once (`channel::recv_any`) registers
+    /// on all of them and pays one barrier for the round. Returns `None`
+    /// if the epoch already moved past `key`.
+    ///
+    /// The level must be fixed before the barrier: a waiter that re-checks
+    /// against a smaller level than the one it published could park while
+    /// a notifier, reading the larger one, skips its wakeup.
+    pub(crate) fn register_thread_unfenced(&self, key: u64, level: usize) -> Option<u64> {
         let mut l = self.waiters.lock().unwrap();
         if self.epoch.load(SeqCst) != key {
             return None;
         }
         let token = l.next_token;
         l.next_token += 1;
-        l.entries.push((token, WaiterKind::Thread(crate::sim::current())));
-        self.nwaiters.store(l.entries.len(), SeqCst);
-        // Waiter half of the asymmetric fence: order the count store above
-        // against this thread's coming re-check, and drain any notifier's
-        // in-flight state store so that re-check cannot miss it.
-        if asymfence::enabled() {
-            asymfence::heavy();
-        }
+        l.entries.push(Waiter {
+            token,
+            level: level.clamp(1, u32::MAX as usize) as u32,
+            kind: WaiterKind::Thread(crate::sim::current()),
+        });
+        self.publish(&l);
         Some(token)
     }
 
@@ -476,13 +548,14 @@ impl Eventcount {
 
     /// Registers (or refreshes) a task waker under `slot`, or returns
     /// `false` if the epoch already moved past `key` (deregistering any
-    /// stale entry — the caller re-polls its condition).
+    /// stale entry — the caller re-polls its condition). Task waiters
+    /// always register level 1.
     pub fn register_task(&self, key: u64, waker: &Waker, slot: &mut Option<u64>) -> bool {
         let mut l = self.waiters.lock().unwrap();
         if self.epoch.load(SeqCst) != key {
             if let Some(token) = slot.take() {
-                l.entries.retain(|(t, _)| *t != token);
-                self.nwaiters.store(l.entries.len(), SeqCst);
+                l.entries.retain(|w| w.token != token);
+                self.publish(&l);
             }
             return false;
         }
@@ -490,24 +563,30 @@ impl Eventcount {
             Some(token) => {
                 // Re-poll without an interleaving notify: refresh the waker
                 // in place (the old one may belong to a moved task).
-                if let Some(e) = l.entries.iter_mut().find(|(t, _)| *t == token) {
-                    e.1 = WaiterKind::Task(waker.clone());
+                if let Some(e) = l.entries.iter_mut().find(|w| w.token == token) {
+                    e.kind = WaiterKind::Task(waker.clone());
                 } else {
-                    l.entries.push((token, WaiterKind::Task(waker.clone())));
+                    l.entries.push(Waiter {
+                        token,
+                        level: 1,
+                        kind: WaiterKind::Task(waker.clone()),
+                    });
                 }
             }
             None => {
                 let token = l.next_token;
                 l.next_token += 1;
-                l.entries.push((token, WaiterKind::Task(waker.clone())));
+                l.entries.push(Waiter {
+                    token,
+                    level: 1,
+                    kind: WaiterKind::Task(waker.clone()),
+                });
                 *slot = Some(token);
             }
         }
-        self.nwaiters.store(l.entries.len(), SeqCst);
-        // Waiter half of the asymmetric fence — see `register_thread`.
-        if asymfence::enabled() {
-            asymfence::heavy();
-        }
+        self.publish(&l);
+        drop(l);
+        waiter_barrier();
         true
     }
 
@@ -515,13 +594,26 @@ impl Eventcount {
     /// dropped futures, and waiters whose condition resolved mid-register).
     pub fn cancel(&self, token: u64) {
         let mut l = self.waiters.lock().unwrap();
-        l.entries.retain(|(t, _)| *t != token);
-        self.nwaiters.store(l.entries.len(), SeqCst);
+        l.entries.retain(|w| w.token != token);
+        self.publish(&l);
     }
 
     /// Number of currently registered waiters (diagnostics/tests).
     pub fn waiters(&self) -> usize {
-        self.nwaiters.load(SeqCst)
+        (self.waiting.load(SeqCst) & COUNT_MASK) as usize
+    }
+}
+
+/// The waiter's half of the asymmetric fence: orders every registration
+/// store this thread made against its coming re-check, and drains any
+/// notifier's in-flight state store so that re-check cannot miss it. A
+/// no-op where `membarrier` is unavailable (the notifiers fence instead).
+/// [`Eventcount::register_thread`] and [`Eventcount::register_task`] call
+/// it themselves; pair it with [`Eventcount::register_thread_unfenced`].
+#[inline]
+pub(crate) fn waiter_barrier() {
+    if asymfence::enabled() {
+        asymfence::heavy();
     }
 }
 
@@ -1143,6 +1235,31 @@ mod tests {
         }
         assert_eq!(hits.load(SeqCst), 3);
         assert_eq!(ec.waiters(), 0, "notify drained the list");
+    }
+
+    #[test]
+    fn waiting_word_tracks_the_minimum_level() {
+        let ec = Eventcount::new();
+        let key = ec.listen();
+        let a = ec.register_thread_unfenced(key, 5).unwrap();
+        let b = ec.register_thread_unfenced(key, 2).unwrap();
+        let mut seen = 0;
+        ec.notify_all_fenced_level(|level| {
+            seen = level;
+            false
+        });
+        assert_eq!((seen, ec.waiters()), (2, 2));
+        ec.cancel(b);
+        ec.notify_all_fenced_level(|level| {
+            seen = level;
+            false
+        });
+        assert_eq!(seen, 5, "cancel republishes the minimum");
+        assert_eq!(ec.listen(), key, "below its share: nobody woken");
+        ec.notify_all_fenced_level(|level| level <= 5);
+        assert_ne!(ec.listen(), key);
+        assert_eq!(ec.waiters(), 0);
+        ec.cancel(a); // already drained: harmless no-op
     }
 
     #[test]

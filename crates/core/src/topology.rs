@@ -46,6 +46,13 @@
 //! keeps a concurrently registering waiter from missing the element (the
 //! spine's own CAS-based operations order the plain check for free).
 //!
+//! Ring pushes also honour eventcount **levels**: a receiver waiting for a
+//! batch ([`crate::channel::recv_any_batch`]) registers how many items it
+//! needs, and a ring producer skips the wakeup while its own ring's
+//! backlog is below its share of that level (the level divided by the
+//! ring count, rounded up). Level-1 waiters, `close`, spine pushes and
+//! the seat release always wake (DESIGN.md §9).
+//!
 //! # Out-of-declaration receivers
 //!
 //! A second operating `Receiver` cannot observe elements buffered in the
@@ -201,6 +208,31 @@ impl<T: Send> TopoCore<T> {
                 .is_ok()
     }
 
+    /// A ring's share of a receiver's level: the lane as a whole holds
+    /// `level` items no later than some ring holds this many. Capped at
+    /// half a ring's capacity, so the receiver wakes while the producer
+    /// still has room to keep pushing: a share near capacity would leave
+    /// a nearly full ring through the wake latency, and a `try_send` that
+    /// finds it full fails (a collector with `ShedPolicy::Shed` sheds).
+    fn ring_share(&self, level: usize) -> usize {
+        level
+            .div_ceil(self.rings.len())
+            .min(self.rings[0].capacity() / 2)
+            .max(1)
+    }
+
+    /// Advertises a push to ring `seat`. Fenced, because the push
+    /// published with a plain Release store; level-aware, so a receiver
+    /// waiting for a batch is not woken until this ring holds its share.
+    /// The backlog is read from the producer's side and can only be
+    /// overestimated, which wakes early, never late (DESIGN.md §9).
+    #[inline]
+    fn notify_ring_push(&self, seat: usize) {
+        self.sync.not_empty().notify_all_fenced_level(|level| {
+            level <= 1 || self.rings[seat].len_hint() >= self.ring_share(level)
+        });
+    }
+
     /// Builds (or joins) the spine lane and publishes `SPINE`. Idempotent;
     /// racing excess producers serialize on the `OnceLock`.
     fn ensure_spine(&self) -> &Arc<WcqQueue<T>> {
@@ -321,8 +353,7 @@ impl<T: Send> TopoEndpoint<T> {
                 // producer of `rings[seat]` until it drops.
                 let r = unsafe { self.core.rings[seat].push(v) };
                 if r.is_ok() {
-                    // Fenced: the push published with a plain Release store.
-                    self.core.sync.notify_not_empty_fenced();
+                    self.core.notify_ring_push(seat);
                 }
                 r
             }
@@ -379,6 +410,24 @@ impl<T: Send> TopoEndpoint<T> {
         !self.has_cons_seat && self.core.rings.iter().any(|r| !r.is_empty_hint())
     }
 
+    /// Whether this endpoint may wait for more than one item: only the
+    /// consumer-seat holder sweeps the rings whose producers honour
+    /// levels, and spine producers never do, so an upgraded core waits at
+    /// level 1.
+    pub(crate) fn honours_level(&self) -> bool {
+        self.has_cons_seat && !self.core.upgraded()
+    }
+
+    /// The post-registration re-check of a receiver registered at `level`:
+    /// `true` when some ring already holds its share (its producer may
+    /// have skipped the wakeup, trusting this check) or the spine lane has
+    /// appeared (its producers notify at any level, so re-sweep and wait
+    /// at level 1).
+    pub(crate) fn level_reached(&self, level: usize) -> bool {
+        let share = self.core.ring_share(level);
+        self.core.upgraded() || self.core.rings.iter().any(|r| r.len_hint() >= share)
+    }
+
     /// Batch enqueue: drains as many items as fit from the front of
     /// `items`; on the ring lane through one zero-copy reservation (a
     /// single Release publication and a single fenced notify for the whole
@@ -404,7 +453,7 @@ impl<T: Send> TopoEndpoint<T> {
                     None => 0,
                 };
                 if sent > 0 {
-                    self.core.sync.notify_not_empty_fenced();
+                    self.core.notify_ring_push(seat);
                 }
                 sent
             }
@@ -491,6 +540,149 @@ mod tests {
             4, // k <= n even for the tiniest spine these tests build
             &WcqConfig::default(),
         ))
+    }
+
+    /// Registers the test thread on `c`'s not-empty eventcount at `level`
+    /// and returns the epoch key it registered against.
+    fn wait_at(c: &TopoCore<u64>, level: usize) -> u64 {
+        let ec = c.sync_state().not_empty();
+        let key = ec.listen();
+        ec.register_thread_unfenced(key, level)
+            .expect("no notification in flight");
+        key
+    }
+
+    #[test]
+    fn level_waiter_is_notified_by_the_kth_push_only() {
+        for k in 2..6u64 {
+            let c = core(1, 4);
+            let mut tx = c.register();
+            let mut rx = c.register();
+            assert_eq!(rx.try_dequeue(), None); // claims the consumer seat
+            assert!(rx.honours_level());
+            let key = wait_at(&c, k as usize);
+            for i in 0..k - 1 {
+                tx.try_enqueue(i).unwrap();
+                assert_eq!(
+                    c.sync_state().not_empty().listen(),
+                    key,
+                    "push {} of {k}",
+                    i + 1
+                );
+                assert!(!rx.level_reached(k as usize));
+            }
+            tx.try_enqueue(k - 1).unwrap();
+            assert_ne!(
+                c.sync_state().not_empty().listen(),
+                key,
+                "the {k}-th push notifies"
+            );
+            assert!(
+                rx.level_reached(k as usize),
+                "the re-check agrees with the producer"
+            );
+            assert_eq!(c.sync_state().not_empty().waiters(), 0);
+        }
+    }
+
+    #[test]
+    fn level_is_shared_across_rings_and_batches() {
+        // Two rings, level 4: each ring's share is 2.
+        let c = core(2, 4);
+        let mut a = c.register();
+        let mut b = c.register();
+        let mut rx = c.register();
+        assert_eq!(rx.try_dequeue(), None);
+        let key = wait_at(&c, 4);
+        a.try_enqueue(1).unwrap();
+        b.try_enqueue(2).unwrap();
+        assert_eq!(
+            c.sync_state().not_empty().listen(),
+            key,
+            "1 + 1 is below every share"
+        );
+        a.try_enqueue(3).unwrap();
+        assert_ne!(
+            c.sync_state().not_empty().listen(),
+            key,
+            "ring a holds its share"
+        );
+        // The batch path follows the same rule: level 8 on an empty
+        // 2-ring lane wants 4 from one ring.
+        let mut out = Vec::new();
+        assert_eq!(rx.dequeue_batch(&mut out, 16), 3);
+        let key = wait_at(&c, 8);
+        assert_eq!(a.enqueue_batch(&mut vec![1, 2, 3]), 3);
+        assert_eq!(c.sync_state().not_empty().listen(), key);
+        assert_eq!(b.enqueue_batch(&mut vec![4, 5, 6, 7]), 4);
+        assert_ne!(c.sync_state().not_empty().listen(), key);
+    }
+
+    #[test]
+    fn level_beyond_half_capacity_wakes_at_half() {
+        // 16 slots: any level above 8 is notified by the 8th push, so the
+        // producer keeps 8 free slots while the receiver wakes.
+        for level in [9, 16, 64, 1 << 20] {
+            let c = core(1, 4);
+            let mut tx = c.register();
+            let mut rx = c.register();
+            assert_eq!(rx.try_dequeue(), None);
+            let key = wait_at(&c, level);
+            for i in 0..7 {
+                tx.try_enqueue(i).unwrap();
+            }
+            assert_eq!(c.sync_state().not_empty().listen(), key, "level {level}");
+            assert!(!rx.level_reached(level));
+            tx.try_enqueue(7).unwrap();
+            assert_ne!(
+                c.sync_state().not_empty().listen(),
+                key,
+                "level {level}: half the ring notifies"
+            );
+            assert!(rx.level_reached(level));
+        }
+        // A 1-slot ring still wakes on its one push.
+        let c = Arc::new(TopoCore::with_rings(1, 0, 1, &WcqConfig::default()));
+        let mut tx = c.register();
+        let mut rx = c.register();
+        assert_eq!(rx.try_dequeue(), None);
+        let key = wait_at(&c, 64);
+        tx.try_enqueue(0).unwrap();
+        assert_ne!(c.sync_state().not_empty().listen(), key, "1-slot ring");
+    }
+
+    #[test]
+    fn want_one_close_and_spine_push_always_notify() {
+        // A level-1 waiter is woken by the first push.
+        let c = core(1, 4);
+        let mut tx = c.register();
+        let mut rx = c.register();
+        assert_eq!(rx.try_dequeue(), None);
+        let key = wait_at(&c, 1);
+        tx.try_enqueue(1).unwrap();
+        assert_ne!(c.sync_state().not_empty().listen(), key);
+        // Close wakes a level waiter with nothing buffered.
+        let key = wait_at(&c, 64);
+        c.sync_state().close();
+        assert_ne!(c.sync_state().not_empty().listen(), key);
+        // A spine push wakes it whatever its level, and an upgraded lane
+        // no longer waits for levels at all.
+        let c = core(1, 4);
+        let mut rx = c.register();
+        let mut seated = c.register();
+        seated.try_enqueue(0).unwrap();
+        let mut excess = c.register();
+        excess.try_enqueue(1).unwrap(); // grafts the spine
+        assert_eq!(rx.try_dequeue(), Some(0));
+        assert_eq!(rx.try_dequeue(), Some(1));
+        assert!(!rx.honours_level());
+        let key = wait_at(&c, 64);
+        excess.try_enqueue(2).unwrap();
+        assert_ne!(
+            c.sync_state().not_empty().listen(),
+            key,
+            "spine push notifies"
+        );
     }
 
     #[test]

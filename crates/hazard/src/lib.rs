@@ -289,18 +289,28 @@ mod tests {
     use std::sync::atomic::AtomicUsize as Counter;
     use std::sync::Arc;
 
-    static LIVE: Counter = Counter::new(0);
+    /// Live-node counter. Each test owns one and its `Tracked` nodes carry
+    /// it, so sibling tests running in parallel never see each other's
+    /// allocations in their absolute counts.
+    #[derive(Clone, Default)]
+    struct Live(Arc<Counter>);
 
-    struct Tracked(#[allow(dead_code)] u64);
+    impl Live {
+        fn get(&self) -> usize {
+            self.0.load(SeqCst)
+        }
+    }
+
+    struct Tracked(#[allow(dead_code)] u64, Live);
     impl Tracked {
-        fn boxed(v: u64) -> *mut Tracked {
-            LIVE.fetch_add(1, SeqCst);
-            Box::into_raw(Box::new(Tracked(v)))
+        fn boxed(live: &Live, v: u64) -> *mut Tracked {
+            live.0.fetch_add(1, SeqCst);
+            Box::into_raw(Box::new(Tracked(v, live.clone())))
         }
     }
     impl Drop for Tracked {
         fn drop(&mut self) {
-            LIVE.fetch_sub(1, SeqCst);
+            self.1 .0.fetch_sub(1, SeqCst);
         }
     }
 
@@ -334,59 +344,63 @@ mod tests {
 
     #[test]
     fn protected_pointer_survives_scan() {
+        let live = Live::default();
         let d = Domain::new(2);
         let mut h1 = d.register().unwrap();
         let h2 = d.register().unwrap();
-        let p = Tracked::boxed(1);
+        let p = Tracked::boxed(&live, 1);
         let src = AtomicPtr::new(p);
         let got = h2.protect(0, &src);
         assert_eq!(got, p);
         // SAFETY: we "unlink" p (conceptually) and retire it.
         unsafe { h1.retire(p) };
         h1.flush();
-        assert_eq!(LIVE.load(SeqCst), 1, "protected node must not be freed");
+        assert_eq!(live.get(), 1, "protected node must not be freed");
         h2.clear();
         h1.flush();
-        assert_eq!(LIVE.load(SeqCst), 0, "unprotected node is reclaimed");
+        assert_eq!(live.get(), 0, "unprotected node is reclaimed");
     }
 
     #[test]
     fn orphans_reclaimed_on_domain_drop() {
+        let live = Live::default();
         {
             let d = Domain::new(2);
             let mut h1 = d.register().unwrap();
             let h2 = d.register().unwrap();
-            let p = Tracked::boxed(2);
+            let p = Tracked::boxed(&live, 2);
             let src = AtomicPtr::new(p);
             h2.protect(1, &src);
             // SAFETY: `p` is boxed, unlinked from the test's view here,
             // and retired exactly once.
             unsafe { h1.retire(p) };
             drop(h1); // p still protected by h2 → goes to orphans
-            assert_eq!(LIVE.load(SeqCst), 1);
+            assert_eq!(live.get(), 1);
             drop(h2);
         } // domain drop reclaims orphans
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.get(), 0);
     }
 
     #[test]
     fn threshold_scan_reclaims_bulk() {
+        let live = Live::default();
         let d = Domain::new(1);
         let mut h = d.register().unwrap();
         for i in 0..200 {
-            let p = Tracked::boxed(i);
+            let p = Tracked::boxed(&live, i);
             // SAFETY: fresh box, never linked anywhere, retired once.
             unsafe { h.retire(p) };
         }
         h.flush();
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.get(), 0);
         assert_eq!(h.pending(), 0);
     }
 
     #[test]
     fn concurrent_protect_retire_stress() {
+        let live = Live::default();
         let d = Arc::new(Domain::new(4));
-        let src = Arc::new(AtomicPtr::new(Tracked::boxed(0)));
+        let src = Arc::new(AtomicPtr::new(Tracked::boxed(&live, 0)));
         let stop = Arc::new(AtomicBool::new(false));
         let mut readers = Vec::new();
         for _ in 0..2 {
@@ -410,10 +424,11 @@ mod tests {
         {
             let d = Arc::clone(&d);
             let src = Arc::clone(&src);
+            let live = live.clone();
             let writer = std::thread::spawn(move || {
                 let mut h = d.register().unwrap();
                 for i in 1..2000 {
-                    let fresh = Tracked::boxed(i);
+                    let fresh = Tracked::boxed(&live, i);
                     let old = src.swap(fresh, SeqCst);
                     // SAFETY: the swap unlinked `old`; the single writer
                     // retires each displaced box exactly once.
@@ -428,10 +443,10 @@ mod tests {
             r.join().unwrap();
         }
         // Last node still linked.
-        assert_eq!(LIVE.load(SeqCst), 1);
+        assert_eq!(live.get(), 1);
         // SAFETY: all threads joined; the final node is owned solely by
         // `src`, and this is its unique reclamation.
         unsafe { drop(Box::from_raw(src.load(SeqCst))) };
-        assert_eq!(LIVE.load(SeqCst), 0);
+        assert_eq!(live.get(), 0);
     }
 }

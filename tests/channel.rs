@@ -432,3 +432,83 @@ fn recv_any_exact_delivery_across_many_lanes() {
         assert_eq!(vals, (base..base + per).collect::<Vec<_>>());
     }
 }
+
+// ===================================================================
+// recv_any_batch: the level-triggered batch wait
+// ===================================================================
+
+#[test]
+fn recv_any_batch_sweeps_in_lane_order_up_to_max() {
+    let (mut tx_a, rx_a) = channel::spsc::<u64>(4, 2);
+    let (mut tx_b, rx_b) = channel::mpsc::<u64>(4, 2, 4);
+    let mut lanes = [rx_a, rx_b];
+    for v in 0..3 {
+        tx_a.send(v).unwrap();
+        tx_b.send(10 + v).unwrap();
+    }
+    let mut out = Vec::new();
+    // A sweep returns what is there, whatever `want` says.
+    assert_eq!(
+        channel::recv_any_batch(&mut lanes, &mut out, 4, 64, None),
+        Ok(4)
+    );
+    assert_eq!(out, [0, 1, 2, 10]);
+    assert_eq!(
+        channel::recv_any_batch(&mut lanes, &mut out, 64, 64, None),
+        Ok(2)
+    );
+    // Empty lanes and a want that never arrives: the deadline ends it.
+    let short = Some(Duration::from_millis(10));
+    assert_eq!(
+        channel::recv_any_batch(&mut lanes, &mut out, 64, 64, short),
+        Err(RecvError::Timeout)
+    );
+    drop(tx_a);
+    drop(tx_b);
+    assert_eq!(
+        channel::recv_any_batch(&mut lanes, &mut out, 64, 64, None),
+        Err(RecvError::Closed)
+    );
+    assert_eq!(out, [0, 1, 2, 10, 11, 12]);
+}
+
+#[test]
+fn recv_any_batch_exact_delivery_with_batch_levels() {
+    // Two MPSC lanes with two seated producers each; the consumer always
+    // waits for a whole batch, so every wakeup rides the level rule, and
+    // the last partial batch is ended by the close, never stranded.
+    const BATCH: usize = 48;
+    let per = 3_000u64;
+    let mut producers = Vec::new();
+    let mut lanes = Vec::new();
+    for lane in 0..2u64 {
+        let (tx, rx) = channel::mpsc::<u64>(6, 2, 4);
+        lanes.push(rx);
+        for p in 0..2u64 {
+            let mut tx = tx.clone();
+            producers.push(std::thread::spawn(move || {
+                let base = (lane * 2 + p) * per;
+                for i in 0..per {
+                    tx.send(base + i).unwrap();
+                }
+            }));
+        }
+    }
+    let mut got = Vec::new();
+    let mut batch = Vec::with_capacity(BATCH);
+    loop {
+        let room = BATCH - batch.len();
+        match channel::recv_any_batch(&mut lanes, &mut batch, room, room, None) {
+            Ok(_) if batch.len() == BATCH => got.append(&mut batch),
+            Ok(_) => {}
+            Err(RecvError::Closed) => break,
+            Err(RecvError::Timeout) => unreachable!("no deadline was set"),
+        }
+    }
+    got.append(&mut batch);
+    for p in producers {
+        p.join().unwrap();
+    }
+    got.sort_unstable();
+    assert_eq!(got, (0..4 * per).collect::<Vec<_>>());
+}

@@ -221,3 +221,33 @@ fn flush_latency_report_is_populated() {
     assert!(l.n > 0, "at least one batch latency sample");
     assert!(l.p50_ns <= l.p99_ns && l.p99_ns <= l.max_ns);
 }
+
+/// Spawn → submit → drop the sender → `shutdown`, over and over, on the
+/// 2-shard, 1-worker shape the benchmark runs. Every cycle races the
+/// last sender's close against the worker's multi-lane wait; a wait that
+/// missed the close would hang `shutdown` (CI runs this under `timeout`).
+/// A smoke check: the deterministic pins of that race are DST model 10
+/// and `recv_any_close_race_minimized_schedule`.
+#[test]
+fn shutdown_stress_cycles() {
+    const CYCLES: u64 = 2000;
+    for cycle in 0..CYCLES {
+        let cfg = CollectorConfig {
+            shards: 2,
+            producers: 1,
+            workers: 1,
+            ..CollectorConfig::default()
+        };
+        let (col, mut tx) = Collector::spawn(cfg, VecExporter::default(), Arc::new(NoFaults));
+        let spans = cycle % 3; // zero, one or two spans in flight at close
+        for i in 0..spans {
+            assert!(tx.submit(Span::new(i, i)), "lanes have room");
+        }
+        drop(tx);
+        let (report, exporter) = col.shutdown();
+        let m = &report.metrics;
+        assert_eq!(m.accepted, spans, "cycle {cycle}");
+        assert_eq!(exporter.spans.len() as u64, spans, "cycle {cycle}");
+        assert!(m.conserved(), "cycle {cycle}: {m:?}");
+    }
+}

@@ -465,6 +465,198 @@ fn dst_eventcount_park_exit_relaxed_is_flagged() {
 }
 
 // ===================================================================
+// Model 10: recv_any vs the last sender's drop
+// ===================================================================
+
+/// `recv_any` over a lane whose only sender drops with nothing sent. The
+/// wait must end in `Closed` whatever the interleaving. The window this
+/// pins: the lane closes after the waiter's first sweep but before its
+/// registration is visible, so `close`'s notify finds no waiter and never
+/// bumps the epoch; a waiter whose post-registration re-check ignores the
+/// close then parks forever (the explorer reports the deadlock). The
+/// re-check now sends a lane that closed since the sweep back to the top
+/// of the loop, as `dequeue_deadline` does.
+fn recv_any_close_model() {
+    let (tx, rx) = channel::spsc::<u64>(1, 2);
+    let closer = thread::spawn(move || drop(tx));
+    let mut lanes = [rx];
+    assert_eq!(
+        channel::recv_any(&mut lanes, None),
+        Err(wcq::sync::RecvError::Closed),
+        "every lane closed and drained"
+    );
+    closer.join().unwrap();
+}
+
+#[test]
+fn dst_recv_any_close_race() {
+    Explorer::new("recv-any-close").check(recv_any_close_model);
+}
+
+// ===================================================================
+// Model 11: level waiter — woken once its share is reached, never later
+// ===================================================================
+
+/// A receiver waits for a batch of `K` on an SPSC lane through
+/// `recv_any_batch` (level `K`, so the ring producer skips the wakeup for
+/// the first `K - 1` pushes), while the producer pushes exactly `K`
+/// values and then blocks on an acknowledgement the waiter sends once it
+/// has all of them. If the `K`-th push failed to wake a parked waiter,
+/// both threads would sleep and the explorer would report the deadlock.
+/// Under `WCQ_DST_WEAK=1` this runs the production pairing: the
+/// producer's single `Relaxed` load of the waiting word against the
+/// waiter's one modeled membarrier per registration round.
+fn level_waiter_model() {
+    const K: usize = 3;
+    // 8 slots: `K` stays below the half-ring cap on a ring's share.
+    let (mut tx, rx) = channel::spsc::<u64>(3, 2);
+    let (mut ack_tx, mut ack_rx) = channel::spsc::<usize>(1, 2);
+    let waiter = thread::spawn(move || {
+        let mut lanes = [rx];
+        let mut out = Vec::new();
+        while out.len() < K {
+            let room = K - out.len();
+            channel::recv_any_batch(&mut lanes, &mut out, room, room, None)
+                .expect("the lane stays open until acknowledged");
+        }
+        ack_tx.send(out.len()).unwrap();
+        out
+    });
+    for v in 0..K as u64 {
+        tx.try_send(v).unwrap(); // never full
+    }
+    assert_eq!(ack_rx.recv(), Ok(K), "the K-th push woke the waiter");
+    drop(tx);
+    assert_eq!(waiter.join().unwrap(), vec![0, 1, 2], "exact delivery");
+}
+
+#[test]
+fn dst_level_waiter_woken_at_its_share() {
+    Explorer::new("level-waiter").check(level_waiter_model);
+}
+
+// ===================================================================
+// Model 12: the level protocol distilled — and two ways to break it
+// ===================================================================
+
+/// How [`level_protocol_model`] runs the waiter's half.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LevelWaiter {
+    /// As `Eventcount`: publish the level, barrier, re-check at that level.
+    Correct,
+    /// No barrier on either side: the producer checks the level with no
+    /// fence and the waiter does not drain it (store buffering).
+    NoBarrier,
+    /// Raises its published level after the barrier while re-checking at
+    /// the old one: the producer may read the raised level and skip.
+    RaiseAfterBarrier,
+}
+
+/// Distilled level-aware eventcount (sync.rs + the ring producer in
+/// topology.rs): one ring's `tail`, the packed waiting word (count in the
+/// low half, minimum level in the high half), the epoch and a mutexed
+/// waiter list. The producer pushes `K` values, each a `Release` store of
+/// `tail` followed by one `Relaxed` load of the waiting word, and wakes
+/// only when its backlog has reached the level it read. The waiter needs
+/// `K`: it probes, registers at `K` under the mutex, issues the modeled
+/// membarrier, re-checks the backlog against `K` and parks until the
+/// epoch moves. `Correct` must never deadlock, under SC and weak memory;
+/// each broken variant must be flagged.
+fn level_protocol_model(variant: LevelWaiter) {
+    use shuttle_lite::atomic::{AtomicU64, AtomicUsize};
+    use shuttle_lite::sync::Mutex;
+    const K: u64 = 2;
+    struct Lane {
+        tail: AtomicUsize,
+        epoch: AtomicU64,
+        waiting: AtomicU64,
+        waiters: Mutex<Vec<thread::Thread>>,
+    }
+    let lane = Arc::new(Lane {
+        tail: AtomicUsize::new(0),
+        epoch: AtomicU64::new(0),
+        waiting: AtomicU64::new(0),
+        waiters: Mutex::new(Vec::new()),
+    });
+    let l2 = lane.clone();
+    let waiter = thread::spawn(move || loop {
+        let key = l2.epoch.load(Ordering::Relaxed);
+        if l2.tail.load(Ordering::Acquire) as u64 >= K {
+            return;
+        }
+        {
+            let mut w = l2.waiters.lock().unwrap();
+            if l2.epoch.load(Ordering::SeqCst) != key {
+                continue;
+            }
+            w.push(thread::current());
+            l2.waiting.store(K << 32 | 1, Ordering::SeqCst);
+        }
+        if variant != LevelWaiter::NoBarrier {
+            shuttle_lite::membarrier();
+        }
+        if variant == LevelWaiter::RaiseAfterBarrier {
+            l2.waiting.store((K + 1) << 32 | 1, Ordering::SeqCst);
+        }
+        if l2.tail.load(Ordering::Acquire) as u64 >= K {
+            let mut w = l2.waiters.lock().unwrap();
+            w.clear();
+            l2.waiting.store(0, Ordering::SeqCst);
+            return;
+        }
+        while l2.epoch.load(Ordering::SeqCst) == key {
+            thread::park();
+        }
+    });
+    for pushed in 1..=K {
+        lane.tail.store(pushed as usize, Ordering::Release);
+        let w = lane.waiting.load(Ordering::Relaxed);
+        if w != 0 && pushed >= w >> 32 {
+            let woken = {
+                let mut l = lane.waiters.lock().unwrap();
+                lane.epoch.fetch_add(1, Ordering::SeqCst);
+                lane.waiting.store(0, Ordering::SeqCst);
+                std::mem::take(&mut *l)
+            };
+            for t in woken {
+                t.unpark();
+            }
+        }
+    }
+    waiter.join().unwrap();
+}
+
+#[test]
+fn dst_level_protocol_is_sound() {
+    Explorer::new("level-protocol").check(|| level_protocol_model(LevelWaiter::Correct));
+    Explorer::new("level-protocol-weak")
+        .weak(true)
+        .check(|| level_protocol_model(LevelWaiter::Correct));
+}
+
+/// Without the barrier the producer's level check can miss the
+/// registration while the waiter's re-check misses the push: the weak
+/// model must find the lost wakeup (SC cannot: it forbids the reorder).
+#[test]
+fn dst_level_protocol_without_barrier_is_flagged() {
+    let f = Explorer::new("level-protocol-no-barrier")
+        .weak(true)
+        .find_failure(|| level_protocol_model(LevelWaiter::NoBarrier))
+        .expect("weak model must flag the unfenced level check");
+    assert!(f.message.contains("deadlock"), "wrong failure: {f}");
+}
+
+/// A waiter that raises its level after the barrier is woken late (here:
+/// never) under any memory model.
+#[test]
+fn dst_level_raised_after_barrier_is_flagged() {
+    let f = Explorer::new("level-protocol-late-raise")
+        .find_failure(|| level_protocol_model(LevelWaiter::RaiseAfterBarrier))
+        .expect("SC exploration must flag the late level raise");
+    assert!(f.message.contains("deadlock"), "wrong failure: {f}");
+}
+
+// ===================================================================
 // Explorer sanity: determinism of the whole DST harness
 // ===================================================================
 

@@ -48,3 +48,15 @@ fn slot_downgrade_minimized_schedule() {
             super::slot_downgrade_model(Ordering::Release, Ordering::Acquire)
         });
 }
+
+/// `recv_any` shutdown hang (DESIGN.md §14): the lane closes after the
+/// waiter's first sweep but before its registration is visible, `close`'s
+/// notify finds no waiter, and a post-registration re-check that ignores
+/// the close parks the waiter forever. Found by the explorer on schedule
+/// #5 of `dst_recv_any_close_race` with the closed check removed from
+/// `wait_any`'s re-check (seed `0x5eedcafe`), minimized to this tape;
+/// reverting the fix makes the replay report the deadlock again.
+#[test]
+fn recv_any_close_race_minimized_schedule() {
+    shuttle_lite::replay("0*14,1*5", super::recv_any_close_model);
+}
