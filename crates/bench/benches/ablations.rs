@@ -169,7 +169,7 @@ fn ablate_batch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Registration-slot orderings (the ORDERINGS.md SeqCst → Acquire/Release
+/// Registration-slot orderings (the `wcq::queue` SeqCst → Acquire/Release
 /// downgrade, weak-DST proven by `dst_slot_handoff_*`): the claim/release
 /// pair at both ordering levels — on x86-64 the release store compiles to
 /// a plain `mov` where the SeqCst store needs `xchg` — plus the real
@@ -199,7 +199,7 @@ fn ablate_slot_orderings(c: &mut Criterion) {
     g.finish();
 }
 
-/// Adaptive backoff (the LOOPS.md wait-edge pacing shared by the
+/// Adaptive backoff (the `BOUND(wait-edge)` pacing shared by the
 /// `!drained()` residue spin, the endpoint-slot wait, and the
 /// stranded-residue hint): the full `Backoff` ladder against the
 /// constant-yield loop it replaced, plus the adopted path at queue level —
@@ -247,8 +247,8 @@ fn ablate_backoff(c: &mut Criterion) {
     g.finish();
 }
 
-/// Eventcount `listen` epoch-load ordering (the ORDERINGS.md
-/// `sync.rs` Relaxed row, weak-DST proven by
+/// Eventcount `listen` epoch-load ordering (the Relaxed `// ORDERING:`
+/// site in `sync.rs`, weak-DST proven by
 /// `dst_eventcount_listen_relaxed_is_sufficient`): the distilled
 /// listen-then-probe pair at both orderings — on x86-64 both loads compile
 /// to `mov`, so any delta is compiler reordering freedom; the row

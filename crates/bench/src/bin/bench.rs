@@ -159,12 +159,15 @@ fn wakeup_p99_ns(rounds: usize) -> u64 {
         for _ in 0..rounds {
             rx.recv().expect("producer still live");
             let now = epoch.elapsed().as_nanos() as u64;
+            // ORDERING: latency-sample stamp read; pairs with the worker's
+            // Release stamp store
             samples.push(now.saturating_sub(s2.load(Ordering::Acquire)));
         }
         samples
     });
     for i in 0..rounds {
         std::thread::sleep(std::time::Duration::from_micros(200));
+        // ORDERING: latency-sample stamp publication to the sampling thread
         stamp.store(epoch.elapsed().as_nanos() as u64, Ordering::Release);
         tx.send(i as u64).expect("receiver still live");
     }
@@ -268,6 +271,8 @@ fn main() {
     let mut out_path = String::from("BENCH_10.json");
     let mut compare: Option<String> = None;
     let mut args = std::env::args().skip(1);
+    // BOUND(finite-iter): consumes the finite argv iterator. Cover: ci (bench
+    // smoke).
     while let Some(a) = args.next() {
         match a.as_str() {
             "--json" => json = true,

@@ -2,6 +2,10 @@
 //! [`FaultInjector`] seam the tests and the soak binary share, and the
 //! bounded-retry [`RetryPolicy`] that decides how hard the exporter stage
 //! fights a failing sink before invoking the overflow policy.
+//!
+//! ORDERING: fault-injection attempt counter; only sequences injected faults
+//! against attempts on the single exporter thread, cross-thread order
+//! immaterial. Cover: dst model 8.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::atomic::Ordering::Relaxed;

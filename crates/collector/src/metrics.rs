@@ -5,6 +5,14 @@
 //! exported — never to the counters themselves: after shutdown (all
 //! producers and pipeline threads joined) the totals are exact, which is
 //! what the conservation accounting asserts.
+//!
+//! ORDERING: every counter here is Relaxed by design and carries no
+//! synchronization. The tallies (accepted/shed/exported/dropped, flush and
+//! failure counts) are pure statistics; the XOR checksums are
+//! order-independent, since XOR commutes; the snapshot loads are point-in-time
+//! and may lag mid-flight (the inflight gauge). Totals and the accepted ==
+//! exported ^ dropped identity are read exactly only after every pipeline
+//! thread is joined (DESIGN.md §14). Cover: dst model 8.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::AtomicU64;

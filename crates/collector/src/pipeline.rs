@@ -314,6 +314,10 @@ impl Worker {
     fn run(mut self) {
         let mut buf: Vec<Span> = Vec::with_capacity(self.batch_max);
         let mut opened: Option<Instant> = None;
+        // BOUND(wait-edge): worker service loop: waits on recv_any_batch for
+        // the rest of the batch or the flush deadline until it reports every
+        // lane Closed, then flushes and exits. Cover: tests/collector.rs
+        // (shutdown_stress_cycles) + dst model 8.
         loop {
             // Sweep every lane into the batch; park only when all are
             // empty. An empty buffer waits for one span, whose arrival
@@ -391,6 +395,9 @@ impl<E: Exporter> ExportStage<E> {
     fn run(mut self) -> (E, Vec<u64>) {
         // `recv` without a timeout only ever yields a value or Closed;
         // Closed here means every worker has flushed its final batch.
+        // BOUND(wait-edge): exporter drains until the batch channel closes,
+        // which means every worker flushed its final batch. Cover:
+        // tests/collector.rs.
         while let Ok(batch) = self.rx.recv() {
             self.export_batch(batch);
         }

@@ -76,6 +76,9 @@
 //! }
 //! assert_eq!(got, 200);
 //! ```
+//!
+//! ORDERING: endpoint refcount for close-on-last-drop; the ==1 observation
+//! must totally order with the peer's count ops. Cover: dst models 5-6.
 
 use crate::shard::OwnedShardedHandle;
 use crate::sync::{
@@ -390,6 +393,10 @@ fn wait_any<T: Send>(
 ) -> Result<usize, RecvError> {
     assert!(!rxs.is_empty(), "recv_any over zero receivers");
     let deadline = timeout.map(|t| Instant::now() + t);
+    // BOUND(wait-edge): wait_any (recv_any / recv_any_batch) listen/sweep
+    // rounds: re-loops only after a lane's epoch moved or closed (progress
+    // elsewhere), a level re-check found a share reached, or a park woke;
+    // deadline exits via Timeout. Cover: tests/channel.rs + dst models 10-11.
     loop {
         // Phase 1: snapshot each lane's epoch, then sweep it. The order
         // (listen before probe) is the usual eventcount discipline: a
@@ -480,6 +487,10 @@ fn wait_any<T: Send>(
         // passes. Each lane's notify wakes this thread (thread parking is
         // process-global), and the moved epoch tells us which. A timeout
         // falls through to the top, whose sweep is the final look.
+        // BOUND(wait-edge): parks until a registered lane epoch moves or the
+        // deadline passes; spurious unparks re-check every lane; a level
+        // lane's producers move the epoch once their ring holds its share.
+        // Cover: tests/channel.rs + dst model 11.
         loop {
             let moved = rxs
                 .iter()
@@ -644,6 +655,9 @@ impl<T: Send> Shared<T> {
     /// discipline (documented on [`bounded`]).
     fn acquire(&self) -> Endpoint<T> {
         let mut backoff = crate::sync::Backoff::new();
+        // BOUND(wait-edge): waits for a peer endpoint holder to drop a slot;
+        // paced by Backoff (adaptive spin-then-yield). Cover: tests/channel.rs
+        // (endpoint churn).
         loop {
             if let Some(e) = self.backend.register() {
                 return e;

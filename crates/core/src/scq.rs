@@ -10,6 +10,9 @@
 //! Progress: operation-wise lock-free — at least one enqueuer and one
 //! dequeuer complete in a bounded number of steps. Memory usage is fixed at
 //! construction time.
+//!
+//! ORDERING: SCQ ring (paper §2): cycle/threshold invariants assume one total
+//! order over entry RMWs and head/tail F&As; downgrade backlog in ROADMAP.md
 
 use crate::pack::{pack_s, unpack_s, RingLayout, SEntry};
 use crate::WcqConfig;
@@ -108,6 +111,9 @@ impl ScqRing {
         let t = self.tail.fetch_add(1, SeqCst);
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND(const): retries only when the slot word changed under CAS; a
+        // (slot, cycle) word has O(1) transitions before the guard fails and
+        // the attempt returns. Cover: tests/mpmc_all_queues.rs + dst.
         loop {
             let word = self.entries[j].load(SeqCst);
             let e = unpack_s(l, word);
@@ -147,6 +153,9 @@ impl ScqRing {
         let h = self.head.fetch_add(1, SeqCst);
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND(const): same O(1)-transitions argument for the head ticket;
+        // every path resolves the ticket. Cover: tests/mpmc_all_queues.rs +
+        // dst.
         loop {
             let word = self.entries[j].load(SeqCst);
             let e = unpack_s(l, word);
@@ -229,6 +238,10 @@ impl ScqRing {
     #[inline]
     pub fn enqueue(&self, index: u64) {
         debug_assert!(index < self.layout.n());
+        // BOUND(capacity): the ring has 2n entries for at most n live indices
+        // (freelist/allocated usage), so a ticket that lands on an occupied
+        // slot implies other tickets are draining; SCQ's enqueue terminates
+        // when occupancy < capacity. Cover: tests/mpmc_all_queues.rs + dst.
         while self.try_enq(index).is_err() {}
     }
 
@@ -238,6 +251,9 @@ impl ScqRing {
         if self.threshold.load(SeqCst) < 0 {
             return None; // fast empty check
         }
+        // BOUND(threshold): paper 3.2: every failed attempt decrements
+        // `threshold`; at most threshold_reset misses before Empty. Cover:
+        // tests/mpmc_all_queues.rs + dst.
         loop {
             match self.try_deq() {
                 Ok(r) => return r,
@@ -268,6 +284,7 @@ pub struct ScqQueue<T> {
 // dequeue from `fq` and its enqueue into `aq`, and read by exactly one
 // dequeuer between its dequeue from `aq` and its re-enqueue into `fq`. The
 // ring operations provide the necessary happens-before edges (SeqCst RMWs).
+// Cover: tests/mpmc_all_queues.rs + dst.
 unsafe impl<T: Send> Send for ScqQueue<T> {}
 // SAFETY: same argument — index-token exclusivity covers shared access.
 unsafe impl<T: Send> Sync for ScqQueue<T> {}
@@ -302,6 +319,7 @@ impl<T> ScqQueue<T> {
         };
         // SAFETY: index `i` was dequeued from `fq`, granting exclusive write
         // access to `data[i]` until it is published through `aq`.
+        // Cover: tests/mpmc_all_queues.rs + dst.
         self.data[i as usize].with_mut(|p| unsafe { (*p).write(v) });
         self.aq.enqueue(i);
         Ok(())
@@ -313,6 +331,7 @@ impl<T> ScqQueue<T> {
         // SAFETY: index `i` was dequeued from `aq`; the matching enqueuer
         // initialized the slot before publishing `i`. `with_mut`: the read
         // un-initializes the slot.
+        // Cover: tests/mpmc_all_queues.rs + dst.
         let v = self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() });
         self.fq.enqueue(i);
         Some(v)
@@ -322,6 +341,8 @@ impl<T> ScqQueue<T> {
 impl<T> Drop for ScqQueue<T> {
     fn drop(&mut self) {
         // Drain remaining elements so their destructors run.
+        // BOUND(capacity): drop drains at most n remaining elements. Cover:
+        // self (drop, tier-1 suite).
         while self.dequeue().is_some() {}
     }
 }
@@ -434,6 +455,8 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for i in 0..per {
                     let v = p << 32 | i;
+                    // BOUND(wait-edge): test producer retries a full ring
+                    // until consumers drain. Cover: self (unit test).
                     loop {
                         if q.enqueue(v).is_ok() {
                             break;
@@ -452,6 +475,8 @@ mod tests {
             let done = Arc::clone(&done);
             chandles.push(std::thread::spawn(move || {
                 let mut local = Vec::new();
+                // BOUND(wait-edge): test consumer drains until producers set
+                // the done flag. Cover: self (unit test).
                 loop {
                     match q.dequeue() {
                         Some(v) => local.push(v),
@@ -485,6 +510,8 @@ mod tests {
             let q = Arc::clone(&q);
             handles.push(std::thread::spawn(move || {
                 for i in 0..per {
+                    // BOUND(wait-edge): test producer retries a full ring with
+                    // yield. Cover: self (unit test).
                     while q.enqueue(p << 32 | i).is_err() {
                         std::thread::yield_now();
                     }
@@ -495,6 +522,8 @@ mod tests {
         let consumer = std::thread::spawn(move || {
             let mut last = vec![-1i64; producers as usize];
             let mut count = 0;
+            // BOUND(wait-edge): test consumer counts up to the fixed
+            // production total. Cover: self (unit test).
             while count < producers * per {
                 if let Some(v) = q2.dequeue() {
                     let (p, i) = ((v >> 32) as usize, (v & 0xffff_ffff) as i64);

@@ -24,6 +24,9 @@
 //! in every shard through the raw (`*_raw`) queue API, whose exclusivity
 //! contract the handle layer upholds across all shards at once — the same
 //! pattern the unbounded list-of-rings uses.
+//!
+//! ORDERING: sharded front-end seat bookkeeping; cold registration path, kept
+//! SeqCst for simplicity
 
 use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::queue::{acquire_slot, WcqQueue};

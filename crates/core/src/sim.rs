@@ -11,6 +11,10 @@
 //! Outside an active exploration the shims pass straight through to
 //! `std`, which is how the ordinary test suite still runs under
 //! `--cfg wcq_dst`. See `DESIGN.md` §12.
+//!
+//! ORDERING: DST seam: DWCAS modeled as one SeqCst 128-bit weak location
+//! (cmpxchg16b/LL-SC pairs are full barriers on all supported targets). Cover:
+//! all dst models (wcq_dst builds).
 
 #[cfg(not(wcq_dst))]
 mod imp {
@@ -72,6 +76,8 @@ mod imp {
     pub use shuttle_lite::atomic::{
         fence, AtomicBool, AtomicI64, AtomicPtr, AtomicU64, AtomicU8, AtomicUsize,
     };
+    // Both cfg arms export the cell under one role name, `DataCell`.
+    #[allow(clippy::unsafe_removed_from_name)]
     pub use shuttle_lite::cell::UnsafeCell as DataCell;
     pub use shuttle_lite::hint::spin_loop;
     pub use shuttle_lite::sync::{Mutex, OnceLock};
@@ -126,6 +132,9 @@ mod imp {
         #[inline]
         fn mirror(&self, v: u128) {
             let new = unpack(v);
+            // BOUND(wait-edge): DST mirror CAS: retries until the mirror
+            // matches the shadow word; each failure means another mirror write
+            // landed first. Cover: tests/dst/main.rs.
             loop {
                 let cur = self.real.load2();
                 if cur == new || self.real.compare_exchange2(cur, new) {

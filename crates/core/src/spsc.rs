@@ -62,6 +62,9 @@
 //! }
 //! assert_eq!(got, (0..1000).collect::<Vec<_>>());
 //! ```
+//!
+//! ORDERING: own-side cursor or cached peer position; freshness re-checked via
+//! the Acquire/Release pair before use. Cover: dst models 4-5.
 
 use crossbeam_utils::CachePadded;
 use std::mem::MaybeUninit;
@@ -208,6 +211,9 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     /// `true` while no element is observable. Advisory, like any
     /// concurrent size probe.
     pub fn is_empty_hint(&self) -> bool {
+        // ORDERING: observes the peer's index publication; pairs with the
+        // Release store on the opposite side (slot data race-checked via
+        // DataCell). Cover: dst models 4-5.
         self.cons.head.load(Acquire) == self.prod.tail.load(Acquire)
     }
 
@@ -218,6 +224,11 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
     /// is read first, so even a third party never sees `head > tail`.
     /// Advisory, like [`Self::is_empty_hint`].
     pub(crate) fn len_hint(&self) -> usize {
+        // ORDERING: occupancy hint behind the level rule: each side reads its
+        // own index exactly, so a stale peer index can only make the producer
+        // overestimate (wake early) or the consumer underestimate, and the
+        // waiter barrier orders the push before the consumer's re-check.
+        // Cover: dst models 11-12.
         let head = self.cons.head.load(Acquire);
         self.prod.tail.load(Acquire).wrapping_sub(head)
     }
@@ -246,7 +257,12 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
             // consumer's line. Keeps single pushes exact at the full edge
             // and reservations exact at any shortfall, while the common
             // case never leaves the producer's own cache lines.
+            // ORDERING: observes the peer's index publication; pairs with the
+            // Release store on the opposite side (slot data race-checked via
+            // DataCell). Cover: dst models 4-5.
             head = self.cons.head.load(Acquire);
+            // ORDERING: cache refresh of an already-acquired peer position;
+            // publishes nothing. Cover: dst models 4-5.
             self.prod.head_cache.store(head, Relaxed);
         }
         cap - tail.wrapping_sub(head)
@@ -268,6 +284,8 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         // SAFETY: slot `tail & mask` is vacant — the consumer only reads
         // below `tail`, and only this producer writes.
         self.buf[tail & self.mask].with_mut(|p| unsafe { (*p).write(v) });
+        // ORDERING: index publication: releases the slot writes before handing
+        // the range to the peer's Acquire load. Cover: dst models 4-5.
         self.prod.tail.store(tail.wrapping_add(1), Release); // publish
         Ok(())
     }
@@ -303,7 +321,12 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         let head = self.cons.head.load(Relaxed); // consumer-owned index
         let mut tail = self.cons.tail_cache.load(Relaxed);
         if head == tail {
+            // ORDERING: observes the peer's index publication; pairs with the
+            // Release store on the opposite side (slot data race-checked via
+            // DataCell). Cover: dst models 4-5.
             tail = self.prod.tail.load(Acquire);
+            // ORDERING: cache refresh of an already-acquired peer position;
+            // publishes nothing. Cover: dst models 4-5.
             self.cons.tail_cache.store(tail, Relaxed);
             if head == tail {
                 return None;
@@ -312,6 +335,8 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         // SAFETY: head < tail, so the slot was initialized by the producer
         // and its write is visible via the Acquire load of `tail`.
         let v = self.buf[head & self.mask].with_mut(|p| unsafe { (*p).assume_init_read() });
+        // ORDERING: index publication: releases the slot writes before handing
+        // the range to the peer's Acquire load. Cover: dst models 4-5.
         self.cons.head.store(head.wrapping_add(1), Release); // free the slot
         Some(v)
     }
@@ -327,7 +352,12 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
         if tail.wrapping_sub(head) < max {
             // Snapshot can't cover the request — refresh, mirroring the
             // producer's `free_slots` shortfall rule.
+            // ORDERING: observes the peer's index publication; pairs with the
+            // Release store on the opposite side (slot data race-checked via
+            // DataCell). Cover: dst models 4-5.
             tail = self.prod.tail.load(Acquire);
+            // ORDERING: cache refresh of an already-acquired peer position;
+            // publishes nothing. Cover: dst models 4-5.
             self.cons.tail_cache.store(tail, Relaxed);
         }
         let run = tail.wrapping_sub(head).min(max);
@@ -343,6 +373,8 @@ impl<T: Send, L: IndexLayout> Ring<T, L> {
                 unsafe { (*p).assume_init_read() }
             }));
         }
+        // ORDERING: index publication: releases the slot writes before handing
+        // the range to the peer's Acquire load. Cover: dst models 4-5.
         self.cons.head.store(head.wrapping_add(run), Release);
         run
     }
@@ -354,6 +386,8 @@ impl<T: Send, L: IndexLayout> Drop for Ring<T, L> {
         let head = self.cons.head.load(Relaxed);
         let tail = self.prod.tail.load(Relaxed);
         let mut i = head;
+        // BOUND(capacity): drop walks head..tail once - at most capacity
+        // slots. Cover: self (drop, tier-1 suite).
         while i != tail {
             // SAFETY: slots in `head..tail` hold initialized elements no
             // endpoint will read again.
@@ -410,6 +444,8 @@ impl<T: Send, L: IndexLayout> Reservation<'_, T, L> {
     /// consumes the reservation. Slots reserved but not written are simply
     /// not published (the producer's `tail` advances by `written`).
     pub fn commit(self) {
+        // ORDERING: index publication: releases the slot writes before handing
+        // the range to the peer's Acquire load. Cover: dst models 4-5.
         self.ring
             .prod
             .tail
@@ -574,6 +610,7 @@ mod tests {
         struct D;
         impl Drop for D {
             fn drop(&mut self) {
+                // ORDERING: test-only drop counter; ordering irrelevant
                 DROPS.fetch_add(1, Relaxed);
             }
         }
@@ -584,11 +621,13 @@ mod tests {
             r.write(D).unwrap();
             // dropped uncommitted
         }
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(Relaxed), 2, "written values freed");
         assert!(rx.pop().is_none(), "nothing published");
         // The slots are reusable afterwards.
         tx.push(D).unwrap();
         drop(rx.pop().unwrap());
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(Relaxed), 3);
     }
 
@@ -599,18 +638,22 @@ mod tests {
         struct D;
         impl Drop for D {
             fn drop(&mut self) {
+                // ORDERING: test-only drop counter; ordering irrelevant
                 DROPS.fetch_add(1, Relaxed);
             }
         }
+        // ORDERING: test-only drop counter; ordering irrelevant
         DROPS.store(0, Relaxed);
         let (mut tx, mut rx) = Ring::<D>::new(3).split();
         for _ in 0..5 {
             tx.push(D).unwrap();
         }
         drop(rx.pop().unwrap());
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(Relaxed), 1);
         drop(tx);
         drop(rx); // last Arc: ring drop frees the 4 still queued
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(Relaxed), 5);
     }
 
@@ -632,6 +675,8 @@ mod tests {
         let t = std::thread::spawn(move || {
             for i in 0..50_000u64 {
                 let mut v = i;
+                // BOUND(wait-edge): test producer retries a full ring until
+                // the consumer frees space. Cover: self (unit test).
                 while let Err(back) = tx.push(v) {
                     v = back;
                     std::hint::spin_loop();
@@ -640,6 +685,8 @@ mod tests {
         });
         let mut next = 0u64;
         let mut out = Vec::new();
+        // BOUND(wait-edge): test consumer loops until all 50_000 items arrive.
+        // Cover: self (unit test).
         while next < 50_000 {
             out.clear();
             if rx.pop_batch(&mut out, 128) == 0 {

@@ -75,6 +75,10 @@
 //! path. The no-lost-wakeup argument is a Dekker-style flag pair, spelled
 //! out in DESIGN.md §9 and stress-tested at 4× oversubscription in
 //! `tests/blocking_facade.rs`.
+//!
+//! ORDERING: eventcount epoch/waiter-count Dekker with the queue's state
+//! change; the no-lost-wakeup argument needs these in the SeqCst total order
+//! with the queue's RMWs. Cover: dst model 5.
 
 use crossbeam_utils::CachePadded;
 use std::future::Future;
@@ -107,8 +111,8 @@ use std::time::{Duration, Instant};
 ///
 /// The struct is deliberately *not* a loop bound: it adapts the *cost* of
 /// each retry, never the retry count. Every adopting site keeps (and
-/// documents in LOOPS.md) its own bound argument — `is_completed` merely
-/// signals "pauses are maxed out, park properly if you can".
+/// states in its `BOUND` comment) its own bound argument — `is_completed`
+/// merely signals "pauses are maxed out, park properly if you can".
 ///
 /// ```
 /// use wcq::sync::Backoff;
@@ -217,6 +221,7 @@ mod asymfence {
     fn probe() -> bool {
         // SAFETY: membarrier takes no pointers; bogus arguments fail with
         // -EINVAL, never touch memory.
+        // Cover: tests/blocking_facade.rs + dst model 9.
         unsafe {
             let mask = libc::syscall(libc::SYS_membarrier, libc::MEMBARRIER_CMD_QUERY, 0, 0);
             if mask < 0 {
@@ -247,6 +252,7 @@ mod asymfence {
     pub fn heavy() {
         // SAFETY: no pointers; after successful registration this command
         // cannot fail (membarrier(2)).
+        // Cover: tests/blocking_facade.rs + dst model 9.
         let r = unsafe {
             libc::syscall(libc::SYS_membarrier, libc::MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0)
         };
@@ -398,6 +404,11 @@ impl Eventcount {
     /// exploration of this exact load at `Relaxed`).
     #[inline]
     pub fn listen(&self) -> u64 {
+        // ORDERING: listen's epoch snapshot is not part of the Dekker pair:
+        // the register path re-reads the epoch under the waiter mutex before
+        // parking, so a stale key costs one retry, never a lost wakeup
+        // (downgraded from SeqCst; bench ablation eventcount_listen). Cover:
+        // dst model 9 (weak).
         self.epoch.load(Relaxed)
     }
 
@@ -449,8 +460,16 @@ impl Eventcount {
     #[inline]
     pub(crate) fn notify_all_fenced_level(&self, reached: impl FnOnce(usize) -> bool) {
         if !asymfence::enabled() {
+            // ORDERING: notify_all_fenced symmetric fallback: orders the
+            // caller's plain-store state change before the waiter-count load
+            // when membarrier is unavailable. Cover: dst model 5 + dekker
+            // litmus.
             crate::sim::fence(SeqCst);
         }
+        // ORDERING: notifier's probe of the waiting word (count and minimum
+        // level in one load) on the membarrier path: the waiter side carries
+        // the whole barrier (asymmetric Dekker, levels included). Cover: dst
+        // models 5, 11-12 + dekker litmus.
         let w = self.waiting.load(Relaxed);
         if w == 0 || !reached((w >> LEVEL_SHIFT) as usize) {
             return;
@@ -484,6 +503,11 @@ impl Eventcount {
     fn publish(&self, l: &WaiterList) {
         let level = l.entries.iter().map(|w| w.level).min().unwrap_or(0);
         let count = l.entries.len() as u64;
+        // ORDERING: waiter's half of the Dekker pair: count and minimum level
+        // published in one word, so the notifier's single load never pairs a
+        // count with another waiter set's level; SeqCst to order it before the
+        // re-check where membarrier is unavailable. Cover: dst models 5,
+        // 11-12.
         self.waiting
             .store(u64::from(level) << LEVEL_SHIFT | count, SeqCst);
     }
@@ -528,6 +552,10 @@ impl Eventcount {
     /// `key` (returns `true`) or `deadline` passes (deregisters and
     /// returns `false`). Spurious unparks re-check and re-park.
     pub fn park_registered(&self, token: u64, key: u64, deadline: Option<Instant>) -> bool {
+        // BOUND(wait-edge): parks until the epoch moves past `key` or the
+        // deadline passes; the waiting-word/state Dekker pair (module note)
+        // rules out lost wakeups; spurious unparks re-check. Cover:
+        // tests/blocking_facade.rs + dst model 9.
         loop {
             if self.epoch.load(SeqCst) != key {
                 return true;
@@ -913,6 +941,9 @@ fn enqueue_deadline<Q: SyncQueue>(
     mut v: Q::Item,
     deadline: Option<Instant>,
 ) -> Result<(), SendError<Q::Item>> {
+    // BOUND(wait-edge): blocking enqueue: parks on not_full until a dequeuer
+    // frees space, the queue closes, or the deadline passes. Cover:
+    // tests/bounded_semantics.rs.
     loop {
         if q.sync_state().is_closed() {
             return Err(SendError::Closed(v));
@@ -957,6 +988,10 @@ fn dequeue_deadline<Q: SyncQueue>(
 ) -> Result<Q::Item, RecvError> {
     // Paces the stranded-residue wait only; the normal path parks instead.
     let mut backoff = Backoff::new();
+    // BOUND(wait-edge): blocking dequeue: parks on not_empty; the
+    // stranded-residue hint branch is paced by Backoff::snooze instead of
+    // parking (degraded-mode path). Cover: tests/bounded_semantics.rs +
+    // tests/handle_churn.rs.
     loop {
         let key = q.sync_state().not_empty().listen();
         if let Some(v) = q.try_dequeue() {
@@ -1030,6 +1065,9 @@ impl<Q: SyncQueue> Future for EnqueueFuture<'_, Q> {
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
         let mut v = this.v.take().expect("polled after completion");
+        // BOUND(wait-edge): SendFuture poll: re-loops only when the epoch
+        // moved between listen and register (progress elsewhere); otherwise
+        // returns Pending. Cover: tests/blocking_facade.rs (async).
         loop {
             if this.q.sync_state().is_closed() {
                 this.deregister();
@@ -1098,6 +1136,9 @@ impl<Q: SyncQueue> Future for DequeueFuture<'_, Q> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
+        // BOUND(wait-edge): RecvFuture poll: same listen/register race
+        // re-check as SendFuture; returns Pending once registered. Cover:
+        // tests/blocking_facade.rs (async).
         loop {
             let key = this.q.sync_state().not_empty().listen();
             if let Some(v) = this.q.try_dequeue() {
@@ -1185,6 +1226,8 @@ pub fn block_on<F: Future>(fut: F) -> F::Output {
     let waker = Waker::from(Arc::new(ThreadWaker(crate::sim::current())));
     let mut cx = Context::from_waker(&waker);
     let mut fut = std::pin::pin!(fut);
+    // BOUND(wait-edge): block_on parks until the waker unparks this thread;
+    // bounded by future completion. Cover: self (unit tests).
     loop {
         match fut.as_mut().poll(&mut cx) {
             Poll::Ready(v) => return v,
@@ -1226,6 +1269,8 @@ mod tests {
             }));
         }
         // Wait for all three to register, then wake them together.
+        // BOUND(wait-edge): test waits for all three waiters to register
+        // before the broadcast. Cover: self (unit test).
         while ec.waiters() < 3 {
             std::thread::yield_now();
         }

@@ -71,6 +71,10 @@
 //!
 //! This module is the backend; the public face is
 //! [`crate::channel::spsc`] / [`crate::channel::mpsc`].
+//!
+//! ORDERING: endpoint seat claim/publish handoff and graft-mode latch; cold
+//! path, kept SeqCst until a weak-DST model argues otherwise. Cover: dst
+//! models 4, 6.
 
 use crate::spsc::Ring;
 use crate::sync::SyncState;
@@ -162,6 +166,8 @@ impl<T: Send> TopoCore<T> {
     /// rows: `"spsc-ring"`, `"mpsc-rings"`, or — once the overflow lane
     /// exists — `"wcq-spine"`.
     pub fn backend_name(&self) -> &'static str {
+        // ORDERING: seat-table read: observes the seat holder's publication;
+        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
         match self.mode.load(Acquire) {
             FAST if self.rings.len() == 1 => "spsc-ring",
             FAST => "mpsc-rings",
@@ -171,6 +177,8 @@ impl<T: Send> TopoCore<T> {
 
     /// `true` once the wCQ spine lane has been grafted on.
     pub fn upgraded(&self) -> bool {
+        // ORDERING: seat-table read: observes the seat holder's publication;
+        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
         self.mode.load(Acquire) == SPINE
     }
 
@@ -193,6 +201,9 @@ impl<T: Send> TopoCore<T> {
     /// dead predecessor's ring accesses before the new owner's.
     fn claim_prod_seat(&self) -> Option<usize> {
         for (i, seat) in self.prod_seats.iter().enumerate() {
+            // ORDERING: advisory seat probe, re-validated by the seat CAS; the
+            // CAS itself is the SeqCst seat claim of the module note Cover:
+            // dst models 4, 6
             if !seat.load(Relaxed) && seat.compare_exchange(false, true, SeqCst, SeqCst).is_ok() {
                 return Some(i);
             }
@@ -201,6 +212,9 @@ impl<T: Send> TopoCore<T> {
     }
 
     fn claim_cons_seat(&self) -> bool {
+        // ORDERING: advisory seat probe, re-validated by the seat CAS that
+        // follows; the CAS itself is the SeqCst seat claim of the module
+        // note. Cover: dst models 4, 6.
         !self.cons_seat.load(Relaxed)
             && self
                 .cons_seat
@@ -243,6 +257,9 @@ impl<T: Send> TopoCore<T> {
                 &self.cfg,
             ))
         });
+        // ORDERING: advisory mode probe that only skips a redundant latch
+        // store (publishing SPINE is idempotent); the store is the SeqCst
+        // graft-mode latch of the module note. Cover: dst models 4, 6.
         if self.mode.load(Relaxed) != SPINE {
             // Release: a reader that sees SPINE sees the initialized lock.
             self.mode.store(SPINE, SeqCst);
@@ -326,6 +343,9 @@ impl<T: Send> TopoEndpoint<T> {
         if self.spine.is_none() {
             let spine = self.core.spine.get().expect("mode SPINE implies spine");
             let mut spins = 0u32;
+            // BOUND(wait-edge): spine slot register retry: waits for a peer
+            // handle to drop a slot; spins then yields. Cover:
+            // tests/topology.rs.
             let h = loop {
                 if let Some(h) = spine.register_owned() {
                     break h;
@@ -388,6 +408,8 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
+        // ORDERING: seat-table read: observes the seat holder's publication;
+        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
         if self.core.mode.load(Acquire) == SPINE {
             let v = self.spine_handle().dequeue();
             if v.is_some() {
@@ -494,6 +516,8 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
+        // ORDERING: seat-table read: observes the seat holder's publication;
+        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
         if got < max && self.core.mode.load(Acquire) == SPINE {
             got += self.spine_handle().dequeue_batch(out, max - got);
         }
@@ -709,6 +733,8 @@ mod tests {
             }
         }
         let mut next = [0u64; 3];
+        // BOUND(finite-iter): test drains already-enqueued items via
+        // try_dequeue until None. Cover: self (unit test).
         while let Some(v) = rx.try_dequeue() {
             let (p, seq) = ((v >> 32) as usize, v & 0xffff_ffff);
             assert_eq!(seq, next[p], "per-producer FIFO");
@@ -854,6 +880,9 @@ mod tests {
                         for i in 0..64u64 {
                             // Tag above the seed producer's 0..32 range.
                             let mut v = (t as u64 + 1) << 32 | i;
+                            // BOUND(wait-edge): test producer retries a full
+                            // ring until the consumer frees space. Cover: self
+                            // (unit test).
                             while let Err(back) = tx.try_enqueue(v) {
                                 v = back;
                                 std::thread::yield_now();
@@ -863,6 +892,8 @@ mod tests {
                 })
                 .collect();
             let mut got = Vec::new();
+            // BOUND(wait-edge): test consumer collects the fixed expected
+            // count. Cover: self (unit test).
             while got.len() < 32 + 4 * 64 {
                 match rx.try_dequeue() {
                     Some(v) => got.push(v),

@@ -19,12 +19,17 @@ use std::sync::Arc;
 /// The winning CAS is `Acquire`: it synchronizes with the `Release` store
 /// in [`WcqQueue::release_slot`], so the new owner observes the previous
 /// owner's quiesced record state (the downgrade from `SeqCst` is proven by
-/// the `dst_slot_handoff_*` weak-DST models; see ORDERINGS.md).
+/// the `dst_slot_handoff_*` weak-DST models).
 pub(crate) fn acquire_slot(slots: &[AtomicBool]) -> Option<usize> {
     for (tid, slot) in slots.iter().enumerate() {
+        // ORDERING: registration-scan skip probe; the winning CAS re-checks
+        // with Acquire. Cover: dst model 7.
         if slot.load(Relaxed) {
             continue; // occupied: don't even attempt the CAS
         }
+        // ORDERING: slot claim: Acquire on success synchronizes with
+        // release_slot's Release store, publishing the quiesced record state
+        // (downgraded from SeqCst). Cover: dst model 7 + slot_handoff litmus.
         if slot.compare_exchange(false, true, Acquire, Relaxed).is_ok() {
             return Some(tid);
         }
@@ -64,6 +69,7 @@ pub struct WcqQueue<T> {
 
 // SAFETY: identical argument to `ScqQueue` — ring indices are exclusive slot
 // tokens, handed between threads through SeqCst ring operations.
+// Cover: tests/wcq_stress.rs + dst wcq models.
 unsafe impl<T: Send> Send for WcqQueue<T> {}
 // SAFETY: same argument — slot tokens stay exclusive under sharing.
 unsafe impl<T: Send> Sync for WcqQueue<T> {}
@@ -178,10 +184,11 @@ impl<T> WcqQueue<T> {
     /// driving (the handle `Drop`s funnel through here).
     fn release_slot(&self, tid: usize) {
         self.quiesce_records(tid);
-        // `Release` publishes the quiesced record state to whichever thread
-        // claims the slot next via the `Acquire` CAS in [`acquire_slot`] —
-        // the slot flag needs no place in the SeqCst total order, only this
-        // one handoff edge (weak-DST proven; see ORDERINGS.md).
+        // ORDERING: slot release after quiesce. `Release` publishes the
+        // quiesced record state to whichever thread claims the slot next via
+        // the `Acquire` CAS in [`acquire_slot`] — the slot flag needs no
+        // place in the SeqCst total order, only this one handoff edge
+        // (downgraded from SeqCst). Cover: dst model 7 + slot_handoff litmus.
         self.slots[tid].store(false, Release);
     }
 
@@ -221,6 +228,7 @@ impl<T> WcqQueue<T> {
     /// this queue concurrently (the helping records and data slots assume an
     /// exclusive driver per id). Used by the unbounded list-of-rings, whose
     /// own handle layer provides the exclusivity across every ring.
+    // Cover: tests/wcq_stress.rs + dst wcq models.
     pub unsafe fn enqueue_raw(&self, tid: usize, v: T) -> Result<(), T> {
         self.enqueue_tid_quiet(tid, v)
     }
@@ -229,6 +237,7 @@ impl<T> WcqQueue<T> {
     ///
     /// # Safety
     /// Same contract as [`Self::enqueue_raw`].
+    // Cover: tests/wcq_stress.rs + dst wcq models.
     pub unsafe fn dequeue_raw(&self, tid: usize) -> Option<T> {
         self.dequeue_tid_quiet(tid)
     }
@@ -239,6 +248,7 @@ impl<T> WcqQueue<T> {
         };
         // SAFETY: `i` came from `fq`, granting exclusive access to `data[i]`
         // until it is published through `aq`.
+        // Cover: tests/wcq_stress.rs + dst wcq models.
         self.data[i as usize].with_mut(|p| unsafe { (*p).write(v) });
         self.aq.enqueue(tid, i);
         Ok(())
@@ -248,6 +258,7 @@ impl<T> WcqQueue<T> {
         let i = self.aq.dequeue(tid)?;
         // SAFETY: `i` came from `aq`; the matching enqueuer initialized the
         // slot before publishing it. `with_mut`: the read un-initializes.
+        // Cover: tests/wcq_stress.rs + dst wcq models.
         let v = self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() });
         self.fq.enqueue(tid, i);
         Some(v)
@@ -276,6 +287,7 @@ impl<T> WcqQueue<T> {
     ///
     /// # Safety
     /// Same contract as [`Self::enqueue_raw`].
+    // Cover: tests/wcq_stress.rs + dst wcq models.
     pub unsafe fn enqueue_batch_raw(&self, tid: usize, items: &mut Vec<T>) -> usize {
         self.enqueue_batch_tid_quiet(tid, items)
     }
@@ -285,6 +297,7 @@ impl<T> WcqQueue<T> {
     ///
     /// # Safety
     /// Same contract as [`Self::enqueue_raw`].
+    // Cover: tests/wcq_stress.rs + dst wcq models.
     pub unsafe fn dequeue_batch_raw(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         self.dequeue_batch_tid_quiet(tid, out, max)
     }
@@ -311,6 +324,9 @@ impl<T> WcqQueue<T> {
         let mut it = std::mem::take(items).into_iter();
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
+        // BOUND(finite-iter): batch enqueue: the moved-in iterator shrinks
+        // every pass; a pass that claims zero free slots exits. Cover:
+        // tests/wcq_stress.rs (batch).
         while it.len() > 0 {
             // Claim a run of free slots from `fq` with one F&A...
             let want = it.len().min(BATCH_CHUNK);
@@ -323,6 +339,7 @@ impl<T> WcqQueue<T> {
                 };
                 let v = it.next().expect("len checked above");
                 // SAFETY: `i` came from `fq` (exclusive slot token).
+                // Cover: tests/wcq_stress.rs + dst wcq models.
                 self.data[i as usize].with_mut(|p| unsafe { (*p).write(v) });
                 self.aq.enqueue(tid, i);
                 total += 1;
@@ -333,6 +350,7 @@ impl<T> WcqQueue<T> {
             for &i in &idxs[..got] {
                 let v = it.next().expect("claimed at most it.len() slots");
                 // SAFETY: as above.
+                // Cover: tests/wcq_stress.rs + dst wcq models.
                 self.data[i as usize].with_mut(|p| unsafe { (*p).write(v) });
             }
             self.aq.enqueue_batch(tid, &idxs[..got]);
@@ -345,6 +363,8 @@ impl<T> WcqQueue<T> {
     fn dequeue_batch_tid_quiet(&self, tid: usize, out: &mut Vec<T>, max: usize) -> usize {
         let mut total = 0;
         let mut idxs = [0u64; BATCH_CHUNK];
+        // BOUND(finite-iter): bounded by `max`; exits when aq yields no
+        // indices. Cover: tests/wcq_stress.rs (batch).
         while total < max {
             let want = (max - total).min(BATCH_CHUNK);
             let got = self.aq.dequeue_batch(tid, &mut idxs[..want]);
@@ -354,6 +374,7 @@ impl<T> WcqQueue<T> {
                     break; // empty
                 };
                 // SAFETY: `i` came from `aq`; the enqueuer initialized it.
+                // Cover: tests/wcq_stress.rs + dst wcq models.
                 out.push(self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() }));
                 self.fq.enqueue(tid, i);
                 total += 1;
@@ -361,6 +382,7 @@ impl<T> WcqQueue<T> {
             }
             for &i in &idxs[..got] {
                 // SAFETY: as above.
+                // Cover: tests/wcq_stress.rs + dst wcq models.
                 out.push(self.data[i as usize].with_mut(|p| unsafe { (*p).assume_init_read() }));
             }
             // Recycle the whole run of slots to `fq` under one tail F&A.
@@ -380,6 +402,8 @@ impl<T> Drop for WcqQueue<T> {
         // Drain so remaining elements are dropped. tid 0 is safe here: we
         // hold `&mut self`, no other thread can be active (so no waiters
         // to notify either — use the quiet path).
+        // BOUND(capacity): drop drains at most n remaining elements via the
+        // quiet path. Cover: self (drop, tier-1 suite).
         while self.dequeue_tid_quiet(0).is_some() {}
     }
 }
@@ -619,6 +643,7 @@ mod tests {
         struct D;
         impl Drop for D {
             fn drop(&mut self) {
+                // ORDERING: test-only drop counter; ordering irrelevant
                 DROPS.fetch_add(1, SeqCst);
             }
         }
@@ -630,6 +655,7 @@ mod tests {
             }
             drop(h.dequeue()); // 1
         }
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(SeqCst), 6);
     }
 
@@ -687,6 +713,7 @@ mod tests {
         struct D;
         impl Drop for D {
             fn drop(&mut self) {
+                // ORDERING: test-only drop counter; ordering irrelevant
                 DROPS.fetch_add(1, SeqCst);
             }
         }
@@ -699,6 +726,7 @@ mod tests {
             assert_eq!(h.dequeue_batch(&mut out, 2), 2);
             drop(out); // 2
         }
+        // ORDERING: test-only drop counter; ordering irrelevant
         assert_eq!(DROPS.load(SeqCst), 6, "queue drop drains the rest");
     }
 

@@ -9,6 +9,10 @@
 //! and sets `FIN`.
 //!
 //! Comments reference figure/line numbers of the SPAA '22 paper.
+//!
+//! ORDERING: wCQ ring protocol (threshold, seqlock phase 2, helping): the
+//! paper's §3 argument is SC; shaving is the ROADMAP.md downgrade backlog, one
+//! proven edge at a time. Cover: dst models 1-3.
 
 use crate::pack::{enq_bit, pack_w, unpack_w, RingLayout, WEntry};
 use crate::wcq::record::{cnt_of, tag_from_seq, tag_of, ThreadRec, CNT_MASK, FIN, INC};
@@ -178,6 +182,11 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND(const): retries only when the slot word changed under CAS; a
+        // (slot, cycle) word has O(1) transitions (produce, consume,
+        // invalidate) before the entry guard fails and the attempt returns -
+        // the fast path inserts in one step (Thm 5.9, Enq = 1). Cover:
+        // tests/wcq_stress.rs + dst wcq models.
         loop {
             let word = self.entries[j].load_lo(); // value word only
             let e = unpack_w(l, word);
@@ -227,6 +236,9 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND(const): same O(1)-transitions argument for the head ticket;
+        // every exit resolves the ticket (hit, empty via catchup, miss via
+        // threshold). Cover: tests/wcq_stress.rs + dst wcq models.
         loop {
             let word = self.entries[j].load_lo();
             let e = unpack_w(l, word);
@@ -322,11 +334,17 @@ impl WcqRing {
     #[inline]
     fn help_threads(&self, tid: usize) {
         let rec = &self.records[tid];
+        // ORDERING: advisory helping-policy counter (next_check/next_tid); no
+        // protocol edge rides on it. Cover: dst models 1-3
         let nc = rec.next_check.load(Relaxed);
         if nc != 0 {
+            // ORDERING: advisory helping-policy counter (next_check/next_tid);
+            // no protocol edge rides on it. Cover: dst models 1-3
             rec.next_check.store(nc - 1, Relaxed);
             return;
         }
+        // ORDERING: advisory helping-policy counter (next_check/next_tid); no
+        // protocol edge rides on it. Cover: dst models 1-3
         rec.next_check.store(self.cfg.help_delay as u64, Relaxed);
         let t = rec.next_tid.load(Relaxed) as usize % self.records.len();
         let thr = &self.records[t];
@@ -376,6 +394,8 @@ impl WcqRing {
             }
             thr.helpers.fetch_sub(1, SeqCst);
         }
+        // ORDERING: advisory helping-policy counter (next_check/next_tid); no
+        // protocol edge rides on it. Cover: dst models 1-3
         rec.next_tid
             .store(((t + 1) % self.records.len()) as u64, Relaxed);
     }
@@ -402,6 +422,9 @@ impl WcqRing {
             "slot released with a pending help request"
         );
         let mut spins = 0u32;
+        // BOUND(wait-edge): quiesce on handle release: waits only for helpers
+        // already inside this record to finish their bounded help pass; spins
+        // QUIESCE_SPIN_BOUND then yields. Cover: tests/handle_churn.rs.
         while rec.helpers.load(SeqCst) != 0 {
             spins += 1;
             if spins <= QUIESCE_SPIN_BOUND {
@@ -470,6 +493,10 @@ impl WcqRing {
         mylocal: &AtomicU64,
         tag: u64,
     ) -> Option<u64> {
+        // BOUND(helping-bounded): phase-2 local/global agreement (Fig. 7): a
+        // retried pass means the helpee's record advanced (tag moved or FIN
+        // set); paper 3.4 bounds total helper passes per request. Cover:
+        // tests/wcq_stress.rs (slow path) + dst.
         loop {
             let lv = mylocal.load(SeqCst);
             if lv & FIN != 0 || tag_of(lv) != tag {
@@ -482,12 +509,14 @@ impl WcqRing {
             // SAFETY: `gptr` was published by `slow_faa` on this ring and is
             // the address of a `ThreadRec` inside `self.records`, which lives
             // as long as `self`. Contents may be stale; the seqlock guards.
+            // Cover: tests/wcq_stress.rs + dst wcq models.
             let ph = unsafe { &*(gptr as usize as *const ThreadRec) };
             if let Some((local_addr, cnt)) = ph.read_phase2() {
                 // Help complete phase 2: clear INC on the requester's local.
                 // Fails harmlessly if `local` already advanced (line 86).
                 // SAFETY: `local_addr` is the address of a `localTail`/
                 // `localHead` atomic inside `self.records`.
+                // Cover: tests/wcq_stress.rs + dst wcq models.
                 let local = unsafe { &*(local_addr as *const AtomicU64) };
                 let _ = local.compare_exchange(cnt | INC, cnt, SeqCst, SeqCst);
             }
@@ -519,6 +548,10 @@ impl WcqRing {
         tag: u64,
         dec_threshold: bool,
     ) -> bool {
+        // BOUND(helping-bounded): phase-2 global F&A help: retries only while
+        // concurrent helpers advance the same request; bounded by the
+        // two-phase helping protocol (paper 3.4). Cover: tests/wcq_stress.rs
+        // (slow path) + dst.
         loop {
             let cnt_opt = self.load_global_help_phase2(global, local, tag);
             let gcnt: u64;
@@ -577,6 +610,10 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(t);
         let cyc = l.cycle(t);
+        // BOUND(helping-bounded): slow-path enqueue at a claimed ticket: O(1)
+        // slot transitions per cycle plus FIN cut-off; helpers drive the
+        // request to completion (paper 3.4). Cover: tests/wcq_stress.rs (slow
+        // path) + dst.
         loop {
             let (val, note) = self.entries[j].load2();
             let e = unpack_w(l, val);
@@ -636,6 +673,9 @@ impl WcqRing {
         let l = &self.layout;
         let j = l.slot(h);
         let cyc = l.cycle(h);
+        // BOUND(helping-bounded): slow-path dequeue at a claimed ticket: same
+        // transition bound; every ticket resolves so head never strands.
+        // Cover: tests/wcq_stress.rs (slow path) + dst.
         loop {
             let (val, note) = self.entries[j].load2();
             let e = unpack_w(l, val);
@@ -697,6 +737,9 @@ impl WcqRing {
     /// `enqueue_slow` (Fig. 7 lines 70–72). `me` owns the phase-2 area.
     fn enqueue_slow(&self, me: &ThreadRec, v0: u64, index: u64, helpee: &ThreadRec, tag: u64) {
         let mut v = v0;
+        // BOUND(helping-bounded): drives slow_faa until the request's FIN is
+        // set; wait-freedom bound of Thm 5.9 (Enq <= patience + bounded
+        // slow-path tickets). Cover: tests/wcq_stress.rs (slow path) + dst.
         while self.slow_faa(me, &self.tail, &helpee.local_tail, &mut v, tag, false) {
             if self.try_enq_slow(cnt_of(v), index, helpee, tag) {
                 break;
@@ -707,6 +750,8 @@ impl WcqRing {
     /// `dequeue_slow` (Fig. 7 lines 73–76). `me` owns the phase-2 area.
     fn dequeue_slow(&self, me: &ThreadRec, v0: u64, helpee: &ThreadRec, tag: u64) {
         let mut v = v0;
+        // BOUND(helping-bounded): dequeue twin of the line-700 loop; Deq bound
+        // from Thm 5.9. Cover: tests/wcq_stress.rs (slow path) + dst.
         while self.slow_faa(me, &self.head, &helpee.local_head, &mut v, tag, true) {
             if self.try_deq_slow(cnt_of(v), helpee, tag) {
                 break;
@@ -733,6 +778,8 @@ impl WcqRing {
         }
         // == slow path (wCQ) ==
         let rec = &self.records[tid];
+        // ORDERING: seqlock sequence pre-read, re-validated by the SeqCst
+        // publication that follows. Cover: dst models 1-3
         let seq = rec.seq1.load(Relaxed);
         let tag = tag_from_seq(seq);
         rec.local_tail.store(tag | tail, SeqCst);
@@ -772,6 +819,8 @@ impl WcqRing {
         }
         // == slow path (wCQ) ==
         let rec = &self.records[tid];
+        // ORDERING: seqlock sequence pre-read, re-validated by the SeqCst
+        // publication that follows. Cover: dst models 1-3
         let seq = rec.seq1.load(Relaxed);
         let tag = tag_from_seq(seq);
         rec.local_head.store(tag | head, SeqCst);
@@ -950,6 +999,8 @@ mod tests {
                 let mut h = q.register().expect("producer slot");
                 for i in 0..per {
                     let mut v = p << 32 | i;
+                    // BOUND(wait-edge): test producer retries a full ring
+                    // until consumers drain. Cover: self (unit test).
                     loop {
                         match h.enqueue(v) {
                             Ok(()) => break,
@@ -970,6 +1021,8 @@ mod tests {
             consumers.push(std::thread::spawn(move || {
                 let mut h = q.register().expect("consumer slot");
                 let mut local = Vec::new();
+                // BOUND(wait-edge): test consumer drains until producers set
+                // the done flag. Cover: self (unit test).
                 loop {
                     match h.dequeue() {
                         Some(v) => local.push(v),
@@ -1041,6 +1094,8 @@ mod tests {
             let idxs = [round % 4, (round + 1) % 4, (round + 2) % 4];
             r.enqueue_batch(0, &idxs);
             let mut got = Vec::new();
+            // BOUND(wait-edge): test collects exactly 3 indices per round from
+            // its own batch. Cover: self (unit test).
             while got.len() < 3 {
                 let n = r.dequeue_batch(0, &mut out);
                 got.extend_from_slice(&out[..n]);
@@ -1095,6 +1150,8 @@ mod tests {
                 let mut got = Vec::new();
                 let mut out = [0u64; 8];
                 let mut idle = 0;
+                // BOUND(retry-budget): exits after 10_000 consecutive empty
+                // passes. Cover: self (unit test).
                 while idle < 10_000 {
                     let n = r.dequeue_batch(c, &mut out);
                     if n == 0 {
@@ -1139,6 +1196,8 @@ mod tests {
             let r = Arc::clone(&r);
             hs.push(std::thread::spawn(move || {
                 let mut seen = 0u64;
+                // BOUND(wait-edge): test circulates indices until 20_000 are
+                // seen. Cover: self (unit test).
                 while seen < 20_000 {
                     if let Some(i) = r.dequeue(tid) {
                         r.enqueue(tid, i);

@@ -42,6 +42,9 @@
 //!
 //! All operations are sequentially consistent; the paper's pseudo-code
 //! assumes an SC memory model and the queue layer relies on it.
+//!
+//! ORDERING: backend-independent helpers on the exported SeqCst AtomicPair
+//! contract
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -278,6 +281,8 @@ mod tests {
             let p = Arc::clone(&p);
             thread::spawn(move || {
                 let mut done = 0u64;
+                // BOUND(wait-edge): test CAS retry until 10_000 increments
+                // land. Cover: self (unit test).
                 while done < 10_000 {
                     let cur = p.load2();
                     if p.compare_exchange2(cur, (cur.0, cur.1 + 1)) {
@@ -307,6 +312,10 @@ mod tests {
                 let p = Arc::clone(&p);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
+                    // ORDERING: test stop flag; the readers only poll it, and
+                    // the test joins them before it ends
+                    // BOUND(wait-edge): test reader loops until the stop flag.
+                    // Cover: self (unit test).
                     while !stop.load(Ordering::Relaxed) {
                         let (lo, hi) = p.load2();
                         assert_eq!(hi, !lo, "torn 128-bit read: lo={lo} hi={hi}");
@@ -317,6 +326,8 @@ mod tests {
         for k in 0..50_000u64 {
             assert!(p.compare_exchange2((k, !k), (k + 1, !(k + 1))));
         }
+        // ORDERING: test stop flag; the readers only poll it, and the test
+        // joins them before it ends
         stop.store(true, Ordering::Relaxed);
         for r in readers {
             r.join().unwrap();

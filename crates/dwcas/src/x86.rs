@@ -12,6 +12,9 @@
 //! it), so we detect the feature once at runtime and, in the practically
 //! nonexistent case it is absent, route every operation through the portable
 //! stripe-lock backend so mixed-width coherence is preserved.
+//!
+//! ORDERING: cmpxchg16b backend: the instruction is a full barrier; SeqCst
+//! documents the exported contract
 
 use crate::portable;
 use crate::AtomicPair;
@@ -30,11 +33,15 @@ fn cx16_available() -> bool {
     {
         // 0 = unknown, 1 = yes, 2 = no. Benign race: detection is idempotent.
         static STATE: AtomicU8 = AtomicU8::new(0);
+        // ORDERING: feature-detection cache: a benign race, since detection is
+        // idempotent
         match STATE.load(Ordering::Relaxed) {
             1 => true,
             2 => false,
             _ => {
                 let ok = std::arch::is_x86_feature_detected!("cmpxchg16b");
+                // ORDERING: feature-detection cache: a benign race, since
+                // detection is idempotent
                 STATE.store(if ok { 1 } else { 2 }, Ordering::Relaxed);
                 ok
             }

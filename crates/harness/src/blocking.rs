@@ -16,6 +16,9 @@
 //! The `figure_wakeup` binary sweeps this driver over consumer mode ×
 //! oversubscription; `tests/blocking_facade.rs` reuses the same shape as a
 //! lost-wakeup stress.
+//!
+//! ORDERING: workload start/stop flags and progress counters; not on a
+//! measured fast path
 
 use crate::stats::LatencyStats;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -206,6 +209,8 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
                     moved.fetch_add(1, Relaxed);
                 };
                 match cfg.mode {
+                    // BOUND(wait-edge): burst consumer: dequeue_blocking until
+                    // the queue closes. Cover: tests/blocking_facade.rs.
                     ConsumerMode::Block => loop {
                         match h.dequeue_blocking() {
                             Ok(stamp) => take(&mut local, stamp),
@@ -213,6 +218,9 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
                             Err(RecvError::Timeout) => unreachable!("no deadline"),
                         }
                     },
+                    // BOUND(wait-edge): spin-mode consumer: polls until closed
+                    // plus one final empty look (same drain contract). Cover:
+                    // tests/blocking_facade.rs.
                     ConsumerMode::Spin => loop {
                         match h.dequeue() {
                             Some(stamp) => take(&mut local, stamp),
@@ -238,6 +246,9 @@ pub fn run_burst(cfg: &BurstCfg) -> BurstResult {
             + cfg.gap * cfg.bursts as u32
             + Duration::from_millis(expected / 10) // ≥100 items/s floor
             + Duration::from_secs(60);
+        // BOUND(wait-edge): delivery wait with an explicit deadline; panics as
+        // a lost-wakeup tripwire instead of hanging. Cover:
+        // tests/blocking_facade.rs.
         while moved.load(Relaxed) < expected {
             if Instant::now() >= deadline {
                 // Release the parked workers first or the scope's implicit

@@ -8,6 +8,9 @@
 //! The memory test (Fig. 10) additionally inserts "tiny random delays
 //! between Dequeue and Enqueue operations" and picks enqueue/dequeue at
 //! random with probability ½ each.
+//!
+//! ORDERING: workload start/stop flags and progress counters; not on a
+//! measured fast path
 
 use crate::pin;
 use crate::queues::{BenchQueue, QueueHandle};
@@ -141,6 +144,8 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                 match wl {
                     Workload::Pairwise => {
                         let mut i = 0u64;
+                        // BOUND(const): ops_per_thread iterations of the
+                        // pairwise pattern. Cover: tests/figure_shapes.rs.
                         while done < cfg.ops_per_thread {
                             let v = (t as u64) << 32 | (i & 0xffff_ffff);
                             let _ = h.enqueue(v);
@@ -153,6 +158,8 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                     }
                     Workload::Mixed5050 => {
                         let mut i = 0u64;
+                        // BOUND(const): ops_per_thread iterations of the 50/50
+                        // mix. Cover: tests/figure_shapes.rs.
                         while done < cfg.ops_per_thread {
                             if rng.next_u64() & 1 == 0 {
                                 let v = (t as u64) << 32 | (i & 0xffff_ffff);
@@ -166,6 +173,8 @@ pub fn run<Q: BenchQueue>(q: &Q, wl: Workload, cfg: &WorkloadCfg) -> RunResult {
                         }
                     }
                     Workload::EmptyDequeue => {
+                        // BOUND(const): ops_per_thread empty dequeues. Cover:
+                        // tests/figure_shapes.rs.
                         while done < cfg.ops_per_thread {
                             let r = h.dequeue();
                             debug_assert!(r.is_none(), "empty-dequeue queue must stay empty");

@@ -17,6 +17,10 @@
 //!
 //! All pointer reclamation is `unsafe` at the retire site (the caller
 //! asserts the pointer is unlinked); everything else is safe.
+//!
+//! ORDERING: hazard-pointer protect/validate handshake: the protect store must
+//! order before the re-validation load (classic SeqCst HP; downgrade backlog
+//! in ROADMAP.md)
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -54,6 +58,9 @@ struct Slot {
 
 struct Retired {
     ptr: *mut u8,
+    // SAFETY: a stored `drop_fn` must be called exactly once, with the paired
+    // `ptr` (the `Box` allocation recorded at retire time); only the reclaim
+    // scans and `Drop` call it, and they own the list that holds the pair.
     drop_fn: unsafe fn(*mut u8),
 }
 
@@ -114,6 +121,8 @@ impl Domain {
     /// read-modify-writes on every occupied slot.
     pub fn register(&self) -> Option<HpHandle<'_>> {
         for (idx, s) in self.slots.iter().enumerate() {
+            // ORDERING: registration-scan skip probe; the claiming CAS
+            // re-checks
             if s.active.load(Relaxed) {
                 continue; // occupied: don't even attempt the CAS
             }
@@ -191,6 +200,10 @@ impl<'d> HpHandle<'d> {
     pub fn protect<T>(&self, slot: usize, src: &AtomicPtr<T>) -> *mut T {
         let cell = &self.domain.slots[self.idx].hp[slot];
         let mut p = src.load(SeqCst);
+        // BOUND(wait-edge): publish-validate retry: re-loops only when `src`
+        // changed after the hazard publication; each retry implies a writer
+        // made progress. Cover: self (stress test) +
+        // tests/unbounded_reclaim.rs.
         loop {
             cell.store(p as usize, SeqCst);
             let q = src.load(SeqCst);
@@ -271,13 +284,24 @@ impl<'d> HpHandle<'d> {
 impl Drop for HpHandle<'_> {
     fn drop(&mut self) {
         self.clear();
-        self.domain.scan_list(&mut self.retired);
-        if !self.retired.is_empty() {
-            self.domain
-                .orphans
-                .lock()
-                .unwrap()
-                .append(&mut self.retired);
+        // Adopt the orphans, scan, and hand the still-protected retirees
+        // back under one lock hold. A handle dropping concurrently then
+        // either scans after this one's slots are clear or waits for the
+        // hand-back and adopts it; with `scan_list`'s `try_lock` it could
+        // skip the list while this drop holds it and strand a retiree
+        // until the domain drops.
+        let mut orphans = self.domain.orphans.lock().unwrap();
+        self.retired.append(&mut orphans);
+        let hazards = self.domain.collect_hazards();
+        let (keep, free): (Vec<_>, Vec<_>) = self
+            .retired
+            .drain(..)
+            .partition(|r| hazards.contains(&(r.ptr as usize)));
+        *orphans = keep;
+        drop(orphans);
+        for r in free {
+            // SAFETY: unlinked (retire contract) and unprotected now.
+            unsafe { (r.drop_fn)(r.ptr) };
         }
         self.domain.slots[self.idx].active.store(false, SeqCst);
     }
@@ -409,6 +433,8 @@ mod tests {
             let stop = Arc::clone(&stop);
             readers.push(std::thread::spawn(move || {
                 let h = d.register().unwrap();
+                // BOUND(wait-edge): test reader loops until the stop flag.
+                // Cover: self (unit test).
                 while !stop.load(SeqCst) {
                     let p = h.protect(0, &src);
                     // SAFETY: `p` is published in our hazard slot and was

@@ -18,8 +18,8 @@ fn degraded_residue_minimized_schedule() {
 }
 
 /// The slot-handoff ordering downgrade (`SeqCst` → `Acquire`/`Release` in
-/// `wcq::queue`'s `acquire_slot`/`release_slot`, see ORDERINGS.md), revert-
-/// verified both ways under the weak memory model:
+/// `wcq::queue`'s `acquire_slot`/`release_slot`, argued at both sites),
+/// revert-verified both ways under the weak memory model:
 ///
 /// * the wrong-by-construction variant (release store `Relaxed`, one
 ///   notch below what the queue uses) races on the handed-off record

@@ -10,19 +10,22 @@ use baselines::YmcQueue;
 use std::time::{Duration, Instant};
 use wcq::{ScqRing, WcqConfig, WcqQueue, WcqRing};
 
-/// Minimum elapsed time of `f` over `reps` runs. The minimum is the
-/// noise-robust estimator for comparative micro-measurements: transient
-/// load (other tests in this binary, CI neighbors) only ever inflates a
-/// sample, never deflates it.
-fn min_time<F: FnMut()>(reps: usize, mut f: F) -> Duration {
-    (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .min()
-        .unwrap()
+/// Minimum elapsed times of `f` and `g` over `reps` runs each, with the
+/// two alternating rep by rep. The minimum is the noise-robust estimator
+/// for comparative micro-measurements: transient load (other tests in this
+/// binary, CI neighbors) only ever inflates a sample, never deflates it.
+/// Alternating puts both sides under the same load phases; timing all of
+/// one side's reps before the other's lets a burst of load that spans one
+/// side's reps decide the comparison.
+fn min_times<F: FnMut(), G: FnMut()>(reps: usize, mut f: F, mut g: G) -> (Duration, Duration) {
+    let time = |h: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        h();
+        t0.elapsed()
+    };
+    (0..reps).fold((Duration::MAX, Duration::MAX), |(bf, bg), _| {
+        (bf.min(time(&mut f)), bg.min(time(&mut g)))
+    })
 }
 
 /// Fig. 10a's wCQ claim: memory is fixed at construction — operations
@@ -86,23 +89,25 @@ fn threshold_makes_empty_dequeue_constant_time() {
     for _ in 0..(3 * 1024 + 2) {
         let _ = ring.dequeue(0);
     }
-    // 7 reps, not 3: the 1.1x margin is thin in debug builds and the min
-    // estimator only gets more robust with samples (noise inflates, never
-    // deflates), so extra reps tighten the comparison without weakening it.
-    let fast = min_time(7, || {
-        for _ in 0..N {
-            assert!(ring.dequeue(0).is_none());
-        }
-    });
-
     // Reference cost: an FAA-based probe that always pays an RMW (what a
     // queue without the threshold fast path must at least do).
     let faa = baselines::FaaQueue::new();
-    let rmw = min_time(7, || {
-        for _ in 0..N {
-            let _ = faa.dequeue();
-        }
-    });
+    // 7 reps, not 3: the 1.1x margin is thin in debug builds and the min
+    // estimator only gets more robust with samples (noise inflates, never
+    // deflates), so extra reps tighten the comparison without weakening it.
+    let (fast, rmw) = min_times(
+        7,
+        || {
+            for _ in 0..N {
+                assert!(ring.dequeue(0).is_none());
+            }
+        },
+        || {
+            for _ in 0..N {
+                let _ = faa.dequeue();
+            }
+        },
+    );
 
     assert!(
         rmw.as_nanos() * 10 > fast.as_nanos() * 11,
@@ -122,19 +127,21 @@ fn wcq_fast_path_stays_near_scq() {
     let wring = WcqRing::new_empty(10, 1, &cfg);
     let sring = ScqRing::new_empty(10, &cfg);
 
-    let wcq_t = min_time(3, || {
-        for i in 0..N {
-            wring.enqueue(0, i & 1023);
-            let _ = wring.dequeue(0);
-        }
-    });
-
-    let scq_t = min_time(3, || {
-        for i in 0..N {
-            sring.enqueue(i & 1023);
-            let _ = sring.dequeue();
-        }
-    });
+    let (wcq_t, scq_t) = min_times(
+        3,
+        || {
+            for i in 0..N {
+                wring.enqueue(0, i & 1023);
+                let _ = wring.dequeue(0);
+            }
+        },
+        || {
+            for i in 0..N {
+                sring.enqueue(i & 1023);
+                let _ = sring.dequeue();
+            }
+        },
+    );
 
     assert!(
         wcq_t.as_nanos() < 6 * scq_t.as_nanos().max(1),

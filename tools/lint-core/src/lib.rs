@@ -1,26 +1,21 @@
 //! Shared engine for the contract lints (DESIGN.md §15).
 //!
-//! Three lints ride this crate — `ordering-lint` (atomic orderings vs
-//! `ORDERINGS.md`), `progress-lint` (loops vs `LOOPS.md`), and
-//! `unsafe-lint` (`unsafe` sites vs `UNSAFETY.md`). They share one
-//! methodology: a deliberately **textual** scanner walks every `.rs` file
-//! under `crates/*/src` — zero dependencies, no macro expansion, no cfg
-//! evaluation, so every branch of cfg-gated code (both DWCAS backends, the
-//! `wcq_dst` seam) is seen in one pass — and each discovered site must
-//! have a row in a checked-in contract table anchored by `file:line`.
-//! Edits that move a site make the anchor **drift** until the table is
-//! re-blessed; `--bless` regenerates the table carrying prose columns over
-//! by `(file, signature)` occurrence order, so a pure line-shift keeps its
-//! justification while a genuinely new site lands as `TODO`.
+//! Three lints ride this crate — `ordering-lint` (atomic orderings),
+//! `progress-lint` (loop bounds), and `unsafe-lint` (`unsafe` sites). They
+//! share one methodology: a deliberately **textual** scanner walks every
+//! `.rs` file under `crates/*/src` — zero dependencies, no macro
+//! expansion, no cfg evaluation, so every branch of cfg-gated code (both
+//! DWCAS backends, the `wcq_dst` seam) is seen in one pass — and each
+//! discovered site must carry its argument in a tagged comment next to it
+//! (`// ORDERING:`, `// BOUND(<class>):`, `// SAFETY:`). The contract lives
+//! at the code, so an edit that moves a site moves its argument with it.
 //!
 //! What lives here: the line/comment/string indexing, the cross-line
 //! balanced-paren walk, word-boundary token search, the `crates/*/src`
-//! tree walk, the contract-table parse / anchor-multiset check / bless
-//! cycle, workspace-root discovery, and the clippy-style CLI protocol
-//! (exit 0 clean, 1 contract violations, 2 usage/IO error). What lives in
-//! each lint: its needle set, its site classification, and its extra
-//! per-row semantic checks (unjustified `SeqCst`, unbounded loop classes,
-//! missing `// SAFETY:` comments).
+//! tree walk, the adjacent-annotation finder, workspace-root discovery,
+//! and the clippy-style CLI protocol (exit 0 clean, 1 contract violations,
+//! 2 usage/IO error). What lives in each lint: its needle set, its tag
+//! grammar, and which lines its annotations may step over.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -31,10 +26,6 @@ use std::process::ExitCode;
 /// purposes.
 pub const MAX_CALL_SPAN: usize = 2000;
 
-// ===================================================================
-// Sites and rows
-// ===================================================================
-
 /// One discovered site (an atomic op, a loop head, an `unsafe` token).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Site {
@@ -42,20 +33,9 @@ pub struct Site {
     pub file: String,
     /// 1-based line of the site's token.
     pub line: usize,
-    /// The matching signature — what must agree between a site and its
-    /// contract row beyond the anchor (`"load(Acquire)"`, `"while-let"`,
-    /// `"unsafe-block"`). Also the bless carry key together with `file`.
+    /// What the site is, for diagnostics (`"load(Acquire)"`,
+    /// `"while-let"`, `"unsafe(block)"`).
     pub sig: String,
-    /// Lint-private payload riding along with the site (e.g. whether an
-    /// adjacent `// SAFETY:` comment was found). Not part of the anchor
-    /// match and not displayed.
-    pub meta: String,
-}
-
-impl Site {
-    fn key(&self) -> (String, usize, String) {
-        (self.file.clone(), self.line, self.sig.clone())
-    }
 }
 
 impl fmt::Display for Site {
@@ -64,17 +44,9 @@ impl fmt::Display for Site {
     }
 }
 
-/// One row of a contract table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Row {
-    pub file: String,
-    pub line: usize,
-    /// Signature rebuilt from the row's fixed cells; must match the
-    /// site's [`Site::sig`] exactly.
-    pub sig: String,
-    /// The prose columns `--bless` carries over (justification, cover,
-    /// bound class, ... — the lint decides how many and what they mean).
-    pub prose: Vec<String>,
+/// A clippy-style error about `site`.
+pub fn error(headline: &str, site: &Site, note: &str) -> String {
+    format!("error: {headline}\n  --> {site}\n  = note: {note}")
 }
 
 // ===================================================================
@@ -89,24 +61,21 @@ pub fn is_ident(b: u8) -> bool {
 
 /// Byte-offset → line-number index over one file's text, plus the
 /// comment/string classification every scanner needs.
-pub struct LineIndex {
+pub struct LineIndex<'t> {
+    text: &'t str,
     starts: Vec<usize>,
-    len: usize,
 }
 
-impl LineIndex {
+impl<'t> LineIndex<'t> {
     /// Indexes `text`'s line starts.
-    pub fn new(text: &str) -> Self {
+    pub fn new(text: &'t str) -> Self {
         let mut starts = vec![0usize];
         for (i, b) in text.bytes().enumerate() {
             if b == b'\n' {
                 starts.push(i + 1);
             }
         }
-        LineIndex {
-            starts,
-            len: text.len(),
-        }
+        LineIndex { text, starts }
     }
 
     /// 1-based line number of byte offset `off`.
@@ -114,18 +83,20 @@ impl LineIndex {
         self.starts.partition_point(|&s| s <= off)
     }
 
-    /// Byte range of 1-based `line` within the file text.
-    pub fn line_range(&self, line: usize) -> (usize, usize) {
-        let start = self.starts[line - 1];
-        let end = self.starts.get(line).copied().unwrap_or(self.len);
-        (start, end)
+    /// The text of 1-based `line`, including its newline; empty past the
+    /// end of the file.
+    pub fn line_text(&self, line: usize) -> &'t str {
+        let Some(&start) = self.starts.get(line.wrapping_sub(1)) else {
+            return "";
+        };
+        let end = self.starts.get(line).copied().unwrap_or(self.text.len());
+        &self.text[start..end]
     }
 
     /// Whether 1-based `line` is a comment line (`//`, `///`, `//!` after
-    /// leading whitespace) in `text` (must be the indexed text).
-    pub fn is_comment_line(&self, text: &str, line: usize) -> bool {
-        let (start, end) = self.line_range(line);
-        text[start..end].trim_start().starts_with("//")
+    /// leading whitespace).
+    pub fn is_comment_line(&self, line: usize) -> bool {
+        self.line_text(line).trim_start().starts_with("//")
     }
 
     /// Whether byte offset `off` falls inside a string literal *on its own
@@ -134,9 +105,9 @@ impl LineIndex {
     /// `off`; an odd count means `off` is inside a string. Multi-line
     /// string literals defeat it; the tree has none containing lint
     /// needles, and the against-the-tree tests would catch one appearing.
-    pub fn in_string(&self, text: &str, off: usize) -> bool {
-        let (start, _) = self.line_range(self.line_of(off));
-        let bytes = text.as_bytes();
+    pub fn in_string(&self, off: usize) -> bool {
+        let start = self.starts[self.line_of(off) - 1];
+        let bytes = self.text.as_bytes();
         let mut quotes = 0usize;
         let mut i = start;
         while i < off {
@@ -144,9 +115,8 @@ impl LineIndex {
                 b'\\' => i += 1, // skip the escaped byte
                 b'"' => {
                     // `'"'` is a char literal, not a string delimiter.
-                    let char_lit = i > start
-                        && bytes[i - 1] == b'\''
-                        && bytes.get(i + 1) == Some(&b'\'');
+                    let char_lit =
+                        i > start && bytes[i - 1] == b'\'' && bytes.get(i + 1) == Some(&b'\'');
                     if !char_lit {
                         quotes += 1;
                     }
@@ -157,6 +127,54 @@ impl LineIndex {
         }
         quotes % 2 == 1
     }
+
+    /// The annotation argued for the site on `line`: the text `tag` finds
+    /// on the site's own line (the trailing-comment form), or in the
+    /// contiguous block of comment and attribute lines directly above it.
+    /// The upward walk also steps over lines `step_over` accepts — each
+    /// lint's rule for lines that share the comment above them (a run of
+    /// atomic ops, a stacked `unsafe impl` pair). `tag` returns the text
+    /// after the lint's tag when a line carries it.
+    pub fn annotation(
+        &self,
+        line: usize,
+        tag: impl Fn(&'t str) -> Option<&'t str>,
+        step_over: impl Fn(usize) -> bool,
+    ) -> Option<&'t str> {
+        if let Some(why) = tag(self.line_text(line)) {
+            return Some(why);
+        }
+        let mut l = line;
+        while l > 1 {
+            l -= 1;
+            let t = self.line_text(l).trim_start();
+            if t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!") {
+                if let Some(why) = tag(t) {
+                    return Some(why);
+                }
+            } else if !step_over(l) {
+                break;
+            }
+        }
+        None
+    }
+}
+
+/// The text after `tag` in the file's module-doc (`//!`) paragraph that
+/// starts with it, if the file has one.
+pub fn module_note<'t>(text: &'t str, tag: &str) -> Option<&'t str> {
+    text.lines().find_map(|l| {
+        l.trim_start()
+            .strip_prefix("//!")?
+            .trim_start()
+            .strip_prefix(tag)
+    })
+}
+
+/// `true` for annotation text that does not count as an argument.
+pub fn is_placeholder(why: &str) -> bool {
+    let j = why.trim();
+    j.is_empty() || j == "-" || j.eq_ignore_ascii_case("todo")
 }
 
 /// Byte offset of the `)` closing the call whose `(` is at `open`, walking
@@ -182,21 +200,10 @@ pub fn call_span(text: &str, open: usize) -> Option<usize> {
 /// Occurrences of `tokens` appearing as whole words in `span`, in byte
 /// order (the ordering-token extractor, reusable for any keyword set).
 pub fn word_tokens_in<'t>(span: &str, tokens: &[&'t str]) -> Vec<&'t str> {
-    let bytes = span.as_bytes();
-    let mut found: Vec<(usize, &'t str)> = Vec::new();
-    for tok in tokens {
-        let mut from = 0;
-        while let Some(rel) = span[from..].find(tok) {
-            let at = from + rel;
-            from = at + tok.len();
-            let pre_ok = at == 0 || !is_ident(bytes[at - 1]);
-            let post = at + tok.len();
-            let post_ok = post >= bytes.len() || !is_ident(bytes[post]);
-            if pre_ok && post_ok {
-                found.push((at, tok));
-            }
-        }
-    }
+    let mut found: Vec<(usize, &'t str)> = tokens
+        .iter()
+        .flat_map(|tok| find_word(span, tok).into_iter().map(move |at| (at, *tok)))
+        .collect();
     found.sort_by_key(|&(at, _)| at);
     found.into_iter().map(|(_, t)| t).collect()
 }
@@ -224,18 +231,25 @@ pub fn find_word(text: &str, word: &str) -> Vec<usize> {
 // Tree walk
 // ===================================================================
 
-/// Every `.rs` file under `root/crates/*/src`, sorted.
-pub fn rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Every `.rs` file under `root/crates/*/src`, sorted, as
+/// `(workspace-relative path with forward slashes, text)`.
+pub fn read_tree(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
-    let crates = root.join("crates");
-    for entry in std::fs::read_dir(&crates)? {
+    for entry in std::fs::read_dir(root.join("crates"))? {
         let src = entry?.path().join("src");
         if src.is_dir() {
             collect_rs(&src, &mut files)?;
         }
     }
     files.sort();
-    Ok(files)
+    files
+        .into_iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(&path)?;
+            let rel = path.strip_prefix(root).unwrap_or(&path);
+            Ok((rel.to_string_lossy().replace('\\', "/"), text))
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -250,207 +264,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs `scan_file(rel_path, text)` over every file from [`rs_files`].
-/// Paths handed to the scanner (and therefore recorded in sites) are
-/// workspace-relative with forward slashes.
-pub fn scan_tree(
-    root: &Path,
-    mut scan_file: impl FnMut(&str, &str) -> Vec<Site>,
-) -> std::io::Result<Vec<Site>> {
-    let mut sites = Vec::new();
-    for path in rs_files(root)? {
-        let text = std::fs::read_to_string(&path)?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sites.extend(scan_file(&rel, &text));
-    }
-    Ok(sites)
-}
-
-// ===================================================================
-// Contract table: parse / check / bless
-// ===================================================================
-
-/// Parses a contract table out of markdown text: any table row whose
-/// first cell looks like `path:line` (the path must contain `/`) is a
-/// contract row; prose, headers, and separators are ignored. `to_row`
-/// maps the remaining cells to `(sig, prose)`; rows with fewer than
-/// `min_cells` cells are skipped as non-contract tables.
-pub fn parse_rows(
-    doc: &str,
-    text: &str,
-    min_cells: usize,
-    to_row: impl Fn(&[&str]) -> (String, Vec<String>),
-) -> Result<Vec<Row>, String> {
-    let mut rows = Vec::new();
-    for (ln, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if !line.starts_with('|') {
-            continue;
-        }
-        let cells: Vec<&str> = line.trim_matches('|').split('|').map(str::trim).collect();
-        if cells.len() < min_cells {
-            continue;
-        }
-        let Some((file, site_line)) = cells[0].rsplit_once(':') else {
-            continue;
-        };
-        if !file.contains('/') {
-            continue; // header or prose table
-        }
-        let site_line: usize = site_line
-            .parse()
-            .map_err(|_| format!("{doc}:{}: bad line number in `{}`", ln + 1, cells[0]))?;
-        let (sig, prose) = to_row(&cells[1..]);
-        rows.push(Row {
-            file: file.to_string(),
-            line: site_line,
-            sig,
-            prose,
-        });
-    }
-    Ok(rows)
-}
-
-/// `true` for prose cells that do not count as a justification.
-pub fn is_placeholder(cell: &str) -> bool {
-    let j = cell.trim();
-    j.is_empty() || j == "-" || j.eq_ignore_ascii_case("todo")
-}
-
-/// The message fragments [`check_anchors`] builds its errors from — each
-/// lint words its own diagnostics (the noun, the doc name, the bless
-/// command) while the matching logic stays shared.
-pub struct CheckCfg {
-    /// Contract document name, e.g. `"ORDERINGS.md"`.
-    pub doc: &'static str,
-    /// Error headline for a site with no row, e.g. `"unlisted atomic
-    /// site"`.
-    pub unlisted_kind: &'static str,
-    /// The `= note:` text under an unlisted-site error.
-    pub unlisted_note: &'static str,
-    /// Prefix of the relocation hint when a drifted row's `(file, sig)`
-    /// still exists at other lines, e.g. `"same op now at line(s) "` —
-    /// the line list and `" — re-bless"` are appended.
-    pub moved_prefix: &'static str,
-    /// Hint when the row's `(file, sig)` no longer exists at all, e.g.
-    /// `"no such op/orderings in the file anymore"`.
-    pub gone_note: &'static str,
-}
-
-/// Checks sites against contract rows — the anchor directions only
-/// (unlisted sites, drifted/stale rows); semantic per-row checks are each
-/// lint's own. Returns clippy-style error strings, unsorted (callers
-/// append their extra errors and sort once). Multisets must match: two
-/// identical sites on one line need two rows.
-pub fn check_anchors(sites: &[Site], rows: &[Row], cfg: &CheckCfg) -> Vec<String> {
-    use std::collections::HashMap;
-    let mut errors = Vec::new();
-
-    let mut row_count: HashMap<(String, usize, String), usize> = HashMap::new();
-    for r in rows {
-        *row_count
-            .entry((r.file.clone(), r.line, r.sig.clone()))
-            .or_default() += 1;
-    }
-
-    let mut site_count: HashMap<(String, usize, String), usize> = HashMap::new();
-    for s in sites {
-        *site_count.entry(s.key()).or_default() += 1;
-    }
-
-    // Unlisted sites (or listed fewer times than they occur).
-    let mut remaining = row_count.clone();
-    for s in sites {
-        match remaining.get_mut(&s.key()) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => errors.push(format!(
-                "error: {}\n  --> {s}\n  = note: {}",
-                cfg.unlisted_kind, cfg.unlisted_note
-            )),
-        }
-    }
-
-    // Stale rows: anchors whose (file, line, sig) no longer match.
-    for r in rows {
-        let key = (r.file.clone(), r.line, r.sig.clone());
-        let have = site_count.get(&key).copied().unwrap_or(0);
-        if have >= row_count[&key] {
-            continue;
-        }
-        let surplus = row_count[&key] - have;
-        if surplus == 0 {
-            continue;
-        }
-        // Report each stale key once (rows are iterated in order; skip
-        // dups by collapsing the expected count down to what exists).
-        row_count.insert(key.clone(), have);
-        let hint = sites
-            .iter()
-            .filter(|s| s.file == r.file && s.sig == r.sig)
-            .map(|s| s.line.to_string())
-            .collect::<Vec<_>>()
-            .join(", ");
-        let hint = if hint.is_empty() {
-            cfg.gone_note.to_string()
-        } else {
-            format!("{}{hint} — re-bless", cfg.moved_prefix)
-        };
-        errors.push(format!(
-            "error: drifted contract anchor\n  --> {} row {}:{} {}\n  = note: {hint}",
-            cfg.doc, r.file, r.line, r.sig
-        ));
-    }
-
-    errors
-}
-
-/// Regenerates a contract table from `sites`, carrying each row's prose
-/// columns over from `old` rows matched by `(file, sig)` in occurrence
-/// order. New sites get `default_prose`. `mid_cells(site)` renders the
-/// fixed cells between the anchor and the prose (e.g. `"load | Acquire"`);
-/// `header` is the full `| ... |` header + separator lines.
-pub fn bless_table(
-    sites: &[Site],
-    old: &[Row],
-    preamble: &str,
-    header: &str,
-    mid_cells: impl Fn(&Site) -> String,
-    default_prose: &[&str],
-) -> String {
-    use std::collections::{HashMap, VecDeque};
-    let mut carry: HashMap<(String, String), VecDeque<Vec<String>>> = HashMap::new();
-    for r in old {
-        carry
-            .entry((r.file.clone(), r.sig.clone()))
-            .or_default()
-            .push_back(r.prose.clone());
-    }
-
-    let mut sorted: Vec<&Site> = sites.iter().collect();
-    sorted.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-
-    let mut out = String::from(preamble);
-    out.push_str(header);
-    for s in sorted {
-        let prose = carry
-            .get_mut(&(s.file.clone(), s.sig.clone()))
-            .and_then(|q| q.pop_front())
-            .unwrap_or_else(|| default_prose.iter().map(|c| c.to_string()).collect());
-        out.push_str(&format!(
-            "| {}:{} | {} | {} |\n",
-            s.file,
-            s.line,
-            mid_cells(s),
-            prose.join(" | ")
-        ));
-    }
-    out
-}
-
 // ===================================================================
 // Workspace root + CLI protocol
 // ===================================================================
@@ -460,8 +273,7 @@ pub fn bless_table(
 pub fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start);
     while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if let Ok(text) = std::fs::read_to_string(&manifest) {
+        if let Ok(text) = std::fs::read_to_string(d.join("Cargo.toml")) {
             if text.contains("[workspace]") {
                 return Some(d.to_path_buf());
             }
@@ -471,57 +283,50 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
     None
 }
 
-/// Everything a lint binary needs to speak the shared CLI protocol:
-/// `[--bless] [--root <dir>]`, exit 0 clean / 1 violations / 2 usage-or-IO.
-pub struct LintSpec {
-    /// Binary name, e.g. `"ordering-lint"` (also the `cargo run -p` target
-    /// named in diagnostics).
-    pub name: &'static str,
-    /// Contract document file name at the workspace root.
-    pub doc: &'static str,
-    /// What the scanner looks for, for `--help` (e.g. `"atomic ops"`).
-    pub scans: &'static str,
-    /// Site noun for the summary line (e.g. `"atomic sites"`).
-    pub sites_noun: &'static str,
-    /// Scans `crates/*/src` under the root.
-    pub scan: fn(&Path) -> std::io::Result<Vec<Site>>,
-    /// Parses the contract document.
-    pub parse: fn(&str) -> Result<Vec<Row>, String>,
-    /// Full check: anchor directions plus the lint's semantic rules.
-    /// Receives the workspace root so lints can consult the tree (e.g.
-    /// crate-root attributes).
-    pub check: fn(&Path, &[Site], &[Row]) -> Vec<String>,
-    /// Regenerates the contract document.
-    pub bless: fn(&[Site], &[Row]) -> String,
+/// A lint's verdict over the tree.
+pub struct Report {
+    /// How the sites are covered, for the summary line (e.g. `"427 atomic
+    /// sites: 360 under 26 module notes, 67 with site comments"`).
+    pub coverage: String,
+    /// Clippy-style error strings; empty means clean.
+    pub errors: Vec<String>,
 }
 
-/// Runs a lint's CLI: parses arguments, locates the root, scans, and
-/// either blesses or checks. The shared exit-code protocol lives here so
-/// all three lints behave identically in CI.
+/// Everything a lint binary needs to speak the shared CLI protocol:
+/// `[--root <dir>]`, exit 0 clean / 1 violations / 2 usage-or-IO.
+pub struct LintSpec {
+    /// Binary name, e.g. `"ordering-lint"`.
+    pub name: &'static str,
+    /// One line for `--help`: what the lint checks.
+    pub about: &'static str,
+    /// Scans and checks the tree under the workspace root.
+    pub run: fn(&Path) -> std::io::Result<Report>,
+}
+
+/// Runs a lint's CLI: parses arguments, locates the root, checks, and
+/// prints the errors plus one summary line. The shared exit-code protocol
+/// lives here so all three lints behave identically in CI.
 pub fn run_cli(spec: &LintSpec) -> ExitCode {
     let usage = |msg: &str| -> ExitCode {
         eprintln!(
-            "error: {msg}\nusage: {} [--bless] [--root <workspace-root>]",
+            "error: {msg}\nusage: {} [--root <workspace-root>]",
             spec.name
         );
         ExitCode::from(2)
     };
 
-    let mut bless = false;
     let mut root: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--bless" => bless = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage("--root needs a path"),
             },
             "-h" | "--help" => {
                 eprintln!(
-                    "{}: check {} under crates/*/src against {}\n\
-                     usage: {} [--bless] [--root <workspace-root>]",
-                    spec.name, spec.scans, spec.doc, spec.name
+                    "{}: {}\nusage: {} [--root <workspace-root>]",
+                    spec.name, spec.about, spec.name
                 );
                 return ExitCode::SUCCESS;
             }
@@ -534,60 +339,22 @@ pub fn run_cli(spec: &LintSpec) -> ExitCode {
         None => return usage("could not locate the workspace root (pass --root)"),
     };
 
-    let sites = match (spec.scan)(&root) {
-        Ok(s) => s,
+    let report = match (spec.run)(&root) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("error: scanning {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
-
-    let contract_path = root.join(spec.doc);
-    let old_text = std::fs::read_to_string(&contract_path).unwrap_or_default();
-    let rows = match (spec.parse)(&old_text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if bless {
-        let doc = (spec.bless)(&sites, &rows);
-        if let Err(e) = std::fs::write(&contract_path, &doc) {
-            eprintln!("error: writing {}: {e}", contract_path.display());
-            return ExitCode::from(2);
-        }
-        let todos = doc.matches("| TODO |").count();
-        eprintln!(
-            "{}: blessed {} sites into {} ({} TODO justifications to fill)",
-            spec.name,
-            sites.len(),
-            contract_path.display(),
-            todos
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if old_text.is_empty() {
-        eprintln!(
-            "error: {} not found — run `cargo run -p {} -- --bless` to create it",
-            contract_path.display(),
-            spec.name
-        );
-        return ExitCode::from(2);
-    }
-
-    let errors = (spec.check)(&root, &sites, &rows);
+    let mut errors = report.errors;
+    errors.sort();
     for e in &errors {
         eprintln!("{e}\n");
     }
     eprintln!(
-        "{}: {} {} checked against {} contract rows: {}",
+        "{}: {}: {}",
         spec.name,
-        sites.len(),
-        spec.sites_noun,
-        rows.len(),
+        report.coverage,
         if errors.is_empty() {
             "clean".to_string()
         } else {
@@ -605,44 +372,18 @@ pub fn run_cli(spec: &LintSpec) -> ExitCode {
 mod tests {
     use super::*;
 
-    fn site(file: &str, line: usize, sig: &str) -> Site {
-        Site {
-            file: file.to_string(),
-            line,
-            sig: sig.to_string(),
-            meta: String::new(),
-        }
-    }
-
-    fn row(file: &str, line: usize, sig: &str, prose: &[&str]) -> Row {
-        Row {
-            file: file.to_string(),
-            line,
-            sig: sig.to_string(),
-            prose: prose.iter().map(|c| c.to_string()).collect(),
-        }
-    }
-
-    const CFG: CheckCfg = CheckCfg {
-        doc: "DOC.md",
-        unlisted_kind: "unlisted widget",
-        unlisted_note: "add a row",
-        moved_prefix: "same sig now at line(s) ",
-        gone_note: "gone",
-    };
-
     #[test]
     fn line_index_maps_offsets_comments_and_strings() {
         let text = "let a = 1;\n// comment .load(\nlet s = \"x while y\"; while t {}\n";
         let idx = LineIndex::new(text);
         assert_eq!(idx.line_of(0), 1);
         assert_eq!(idx.line_of(text.find("comment").unwrap()), 2);
-        assert!(idx.is_comment_line(text, 2));
-        assert!(!idx.is_comment_line(text, 3));
+        assert!(idx.is_comment_line(2));
+        assert!(!idx.is_comment_line(3));
         let in_str = text.find("x while").unwrap() + 2;
-        assert!(idx.in_string(text, in_str));
+        assert!(idx.in_string(in_str));
         let while_stmt = text.rfind("while").unwrap();
-        assert!(!idx.in_string(text, while_stmt));
+        assert!(!idx.in_string(while_stmt));
     }
 
     #[test]
@@ -650,7 +391,7 @@ mod tests {
         let text = r#"let c = '"'; let s = "a\"b"; while x {}"#;
         let idx = LineIndex::new(text);
         let at = text.rfind("while").unwrap();
-        assert!(!idx.in_string(text, at), "char-literal quote must not count");
+        assert!(!idx.in_string(at), "char-literal quote must not count");
     }
 
     #[test]
@@ -670,84 +411,39 @@ mod tests {
         assert_eq!(find_word("spin_loop loop looped", "loop"), vec![10]);
     }
 
-    #[test]
-    fn anchors_match_as_multisets() {
-        let sites = vec![site("a/b.rs", 3, "w"), site("a/b.rs", 3, "w")];
-        let rows = vec![row("a/b.rs", 3, "w", &["j"]), row("a/b.rs", 3, "w", &["j"])];
-        assert!(check_anchors(&sites, &rows, &CFG).is_empty());
-        // One row short: the second identical site is unlisted.
-        let errs = check_anchors(&sites, &rows[..1], &CFG);
-        assert_eq!(errs.len(), 1);
-        assert!(errs[0].contains("unlisted widget"), "{}", errs[0]);
+    fn tag(l: &str) -> Option<&str> {
+        l.split_once("NOTE:").map(|(_, why)| why.trim())
     }
 
     #[test]
-    fn drifted_anchor_names_relocation_or_disappearance() {
-        let sites = vec![site("a/b.rs", 9, "w")];
-        let rows = vec![row("a/b.rs", 3, "w", &["j"])];
-        let errs = check_anchors(&sites, &rows, &CFG);
-        assert_eq!(errs.len(), 2, "{errs:?}"); // drifted row + unlisted site
-        assert!(errs.iter().any(|e| e.contains("same sig now at line(s) 9")));
-        let errs = check_anchors(&[], &rows, &CFG);
-        assert!(errs.iter().any(|e| e.contains("gone")), "{errs:?}");
+    fn annotation_is_trailing_or_in_the_block_above() {
+        let text = "\
+// NOTE: above
+#[inline]
+site();
+other(); // NOTE: trailing
+x();
+
+// NOTE: stale
+y();
+site();
+";
+        let idx = LineIndex::new(text);
+        let never = |_| false;
+        assert_eq!(idx.annotation(3, tag, never), Some("above"));
+        assert_eq!(idx.annotation(4, tag, never), Some("trailing"));
+        // A code line ends the block; a blank line ends it too.
+        assert_eq!(idx.annotation(5, tag, never), None);
+        assert_eq!(idx.annotation(9, tag, never), None);
+        // Unless the lint lets its walk step over that code line.
+        assert_eq!(idx.annotation(9, tag, |l| l == 8), Some("stale"));
     }
 
     #[test]
-    fn parse_rows_skips_prose_and_rejects_bad_numbers() {
-        let doc = "\
-# title\n\
-| Site | Kind | Justification |\n\
-|---|---|---|\n\
-| crates/x/src/a.rs:7 | loop | bounded |\n\
-| not-a-path | loop | n/a |\n";
-        let rows = parse_rows("DOC.md", doc, 3, |cells| {
-            (cells[0].to_string(), vec![cells[1].to_string()])
-        })
-        .unwrap();
-        assert_eq!(rows.len(), 1);
-        assert_eq!((rows[0].line, rows[0].sig.as_str()), (7, "loop"));
-        let bad = "| crates/x/src/a.rs:seven | loop | j |\n";
-        assert!(parse_rows("DOC.md", bad, 3, |c| (c[0].to_string(), vec![]))
-            .unwrap_err()
-            .contains("bad line number"));
-    }
-
-    #[test]
-    fn bless_carries_prose_by_file_and_sig_occurrence_order() {
-        let sites = vec![site("a/b.rs", 10, "w"), site("a/b.rs", 20, "w")];
-        let old = vec![
-            row("a/b.rs", 1, "w", &["first", "c1"]),
-            row("a/b.rs", 2, "w", &["second", "c2"]),
-        ];
-        let doc = bless_table(
-            &sites,
-            &old,
-            "# head\n\n",
-            "| Site | Sig | J | C |\n|---|---|---|---|\n",
-            |s| s.sig.clone(),
-            &["TODO", "-"],
-        );
-        let rows = parse_rows("DOC.md", &doc, 4, |cells| {
-            (
-                cells[0].to_string(),
-                cells[1..].iter().map(|c| c.to_string()).collect(),
-            )
-        })
-        .unwrap();
-        assert_eq!(rows[0].prose, ["first", "c1"]);
-        assert_eq!(rows[1].prose, ["second", "c2"]);
-        // A third, new site gets the defaults.
-        let mut sites = sites;
-        sites.push(site("a/b.rs", 30, "w"));
-        let doc = bless_table(
-            &sites,
-            &old,
-            "# head\n\n",
-            "| Site | Sig | J | C |\n|---|---|---|---|\n",
-            |s| s.sig.clone(),
-            &["TODO", "-"],
-        );
-        assert!(doc.contains("| a/b.rs:30 | w | TODO | - |"));
+    fn module_note_reads_the_tagged_doc_paragraph() {
+        let text = "//! Intro.\n//!\n//! NOTE: shared argument\n\nfn f() {} // NOTE: site\n";
+        assert_eq!(module_note(text, "NOTE:"), Some(" shared argument"));
+        assert_eq!(module_note("// NOTE: plain comment\n", "NOTE:"), None);
     }
 
     #[test]

@@ -1,18 +1,25 @@
-//! Atomic-ordering contract lint (ISSUE 8 tentpole b; DESIGN.md §13).
+//! Atomic-ordering contract lint (DESIGN.md §13).
 //!
 //! Scans every `.rs` file under `crates/*/src` for atomic operations and
 //! fences — method calls like `.load(..)`, `.store(..)`, `.fetch_add(..)`,
 //! `.compare_exchange(..)` and free `fence(..)` calls that name at least
-//! one `Ordering` variant — and checks each discovered site against the
-//! contract table in `ORDERINGS.md`:
+//! one `Ordering` variant — and checks that each site argues its
+//! orderings in a comment:
 //!
-//! * every site must have a row whose `file:line`, op, and orderings match
-//!   exactly (an edit that moves or reorders a site is an **anchor
-//!   drift** until the table is re-blessed);
-//! * every row must still match a site (stale rows are drift too);
-//! * every site that uses `SeqCst` must carry a non-placeholder
-//!   justification — `SeqCst` is the expensive default, and the whole
-//!   point of the table is that keeping it is an argued decision.
+//! * a site comment, `// ORDERING: <why>`, in the comment block directly
+//!   above the site or trailing on its line. A run of consecutive
+//!   atomic-site lines shares the comment above the run, and a site on a
+//!   method-chain line (`.load(..)` under its receiver) shares the comment
+//!   above the statement head;
+//! * otherwise the file's module note, a `//! ORDERING: <why>` paragraph
+//!   in its module docs, which covers every site in the file without a
+//!   comment of its own — the shared argument of a file whose sites all
+//!   keep one ordering for one reason (a baseline kept at its paper's SC
+//!   presentation, the wCQ ring's SC protocol).
+//!
+//! A site with neither, or whose comment or note is a placeholder (empty,
+//! `TODO`, `-`), fails. A downgrade is therefore a one-line diff plus its
+//! site comment, which then overrides the module note.
 //!
 //! The scanner is deliberately textual, not syntactic: zero dependencies,
 //! no macro expansion, no cfg evaluation — which means it sees *every*
@@ -20,21 +27,10 @@
 //! one pass. The trade-off: an atomic op whose ordering is a variable
 //! rather than a literal `Ordering::*` token is invisible. The workspace
 //! has no such site; keep it that way.
-//!
-//! `--bless` regenerates `ORDERINGS.md` from the current tree, carrying
-//! each row's justification and DST-cover columns over by `(file, op,
-//! orderings)` occurrence order, so an edit that merely shifts line
-//! numbers keeps its prose. New sites get a `TODO` justification, which
-//! the lint rejects when the site is `SeqCst` — adding an unjustified
-//! `SeqCst` therefore fails CI even straight after a bless.
-//!
-//! The scanning machinery (line indexing, cross-line paren walk, anchor
-//! matching, table parse/bless, CLI protocol) lives in the shared
-//! [`lint_core`] crate; this crate owns the atomic needle set, the
-//! ordering-token extraction, and the unjustified-`SeqCst` rule.
 
-use std::fmt;
-use std::path::{Path, PathBuf};
+use lint_core::{LineIndex, Site};
+use std::collections::HashSet;
+use std::path::Path;
 
 /// Atomic method names the scanner recognizes (matched as `.name(`).
 pub const OPS: &[&str] = &[
@@ -56,72 +52,13 @@ pub const OPS: &[&str] = &[
 
 const ORDERING_TOKENS: &[&str] = &["SeqCst", "AcqRel", "Acquire", "Release", "Relaxed"];
 
-/// One discovered atomic operation or fence.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Site {
-    /// Workspace-relative path, forward slashes.
-    pub file: String,
-    /// 1-based line of the op token.
-    pub line: usize,
-    /// Method name, or `"fence"`.
-    pub op: String,
-    /// Ordering tokens in argument order, joined `", "` (e.g. `"AcqRel,
-    /// Acquire"` for a CAS).
-    pub orderings: String,
-}
+/// The comment tag, in site comments and module notes alike.
+pub const TAG: &str = "ORDERING:";
 
-impl Site {
-    /// The matching signature shared with contract rows: `op(orderings)`.
-    fn sig(&self) -> String {
-        format!("{}({})", self.op, self.orderings)
-    }
-
-    fn to_core(&self) -> lint_core::Site {
-        lint_core::Site {
-            file: self.file.clone(),
-            line: self.line,
-            sig: self.sig(),
-            meta: String::new(),
-        }
-    }
-}
-
-impl fmt::Display for Site {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{} {}({})",
-            self.file, self.line, self.op, self.orderings
-        )
-    }
-}
-
-/// One row of the `ORDERINGS.md` contract table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Row {
-    pub file: String,
-    pub line: usize,
-    pub op: String,
-    pub orderings: String,
-    pub justification: String,
-    /// DST model (or litmus test) that exercises the site, `-` if none.
-    pub cover: String,
-}
-
-impl Row {
-    fn to_core(&self) -> lint_core::Row {
-        lint_core::Row {
-            file: self.file.clone(),
-            line: self.line,
-            sig: format!("{}({})", self.op, self.orderings),
-            prose: vec![self.justification.clone(), self.cover.clone()],
-        }
-    }
-}
-
-/// Scans one file's text. `file` is the label recorded in the sites.
+/// Scans one file's text. `file` is the label recorded in the sites,
+/// whose sigs read `op(orderings)` with the orderings in argument order.
 pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
-    let idx = lint_core::LineIndex::new(text);
+    let idx = LineIndex::new(text);
     let bytes = text.as_bytes();
     let mut sites: Vec<(usize, Site)> = Vec::new(); // (offset, site) for ordering
     let mut needles: Vec<(String, &str)> = OPS.iter().map(|op| (format!(".{op}("), *op)).collect();
@@ -140,7 +77,7 @@ pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
                 continue;
             }
             let line = idx.line_of(at);
-            if idx.is_comment_line(text, line) {
+            if idx.is_comment_line(line) {
                 continue;
             }
             // `.compare_exchange(` never fires inside `.compare_exchange_weak(`
@@ -155,13 +92,13 @@ pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
                 // literal ordering, ...) — out of the lint's jurisdiction.
                 continue;
             }
+            let sig = format!("{op}({})", orderings.join(", "));
             sites.push((
                 at,
                 Site {
                     file: file.to_string(),
                     line,
-                    op: op.to_string(),
-                    orderings: orderings.join(", "),
+                    sig,
                 },
             ));
         }
@@ -170,175 +107,91 @@ pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
     sites.into_iter().map(|(_, s)| s).collect()
 }
 
-/// Walks `root/crates/*/src` for `.rs` files and scans each. Paths in the
-/// returned sites are workspace-relative with forward slashes.
-pub fn scan_tree(root: &Path) -> std::io::Result<Vec<Site>> {
-    let mut sites = Vec::new();
-    lint_core::scan_tree(root, |rel, text| {
-        sites.extend(scan_source(rel, text));
-        Vec::new()
-    })?;
-    Ok(sites)
+/// Coverage counts and errors accumulated over the checked files.
+#[derive(Debug, Default)]
+pub struct Tally {
+    pub sites: usize,
+    /// Sites argued by their own (or their run's) comment.
+    pub commented: usize,
+    /// Sites argued by their file's module note.
+    pub under_notes: usize,
+    /// Module notes that cover at least one site.
+    pub notes: usize,
+    pub errors: Vec<String>,
 }
 
-/// Parses the contract table out of `ORDERINGS.md`: any markdown-table row
-/// whose first cell looks like `path:line` is a contract row; everything
-/// else (prose, headers, separators) is ignored.
-pub fn parse_contract(text: &str) -> Result<Vec<Row>, String> {
-    let rows = lint_core::parse_rows("ORDERINGS.md", text, 5, |cells| {
-        (
-            format!("{}({})", cells[0], cells[1]),
-            cells[1..].iter().map(|c| c.to_string()).collect(),
-        )
-    })?;
-    Ok(rows
-        .into_iter()
-        .map(|r| {
-            let op = r.sig.split('(').next().unwrap_or_default().to_string();
-            Row {
-                file: r.file,
-                line: r.line,
-                op,
-                orderings: r.prose.first().cloned().unwrap_or_default(),
-                justification: r.prose.get(1).cloned().unwrap_or_default(),
-                cover: r.prose.get(2).cloned().unwrap_or_default(),
-            }
-        })
-        .collect())
+/// The argument a line carries after [`TAG`].
+fn ordering_tag(line: &str) -> Option<&str> {
+    line.split_once(TAG).map(|(_, why)| why)
 }
 
-/// The [`lint_core::CheckCfg`] wording this lint reports with.
-const CHECK_CFG: lint_core::CheckCfg = lint_core::CheckCfg {
-    doc: "ORDERINGS.md",
-    unlisted_kind: "unlisted atomic site",
-    unlisted_note: "add a row to ORDERINGS.md (or run `cargo run -p ordering-lint -- --bless` and fill in the TODO)",
-    moved_prefix: "same op now at line(s) ",
-    gone_note: "no such op/orderings in the file anymore",
-};
-
-/// Checks sites against contract rows; returns clippy-style error strings
-/// (empty = clean). Multisets must match: two identical ops on one line
-/// need two rows.
-pub fn check(sites: &[Site], rows: &[Row]) -> Vec<String> {
-    let core_sites: Vec<_> = sites.iter().map(Site::to_core).collect();
-    let core_rows: Vec<_> = rows.iter().map(Row::to_core).collect();
-    let mut errors = lint_core::check_anchors(&core_sites, &core_rows, &CHECK_CFG);
-
-    // SeqCst without a justification — this lint's own semantic rule.
-    for r in rows {
-        if r.orderings.contains("SeqCst") && lint_core::is_placeholder(&r.justification) {
-            errors.push(format!(
-                "error: unjustified SeqCst\n  --> {}:{} {}({})\n  = note: SeqCst sites must argue why a weaker ordering is insufficient (ORDERINGS.md)",
-                r.file, r.line, r.op, r.orderings
+/// Checks one file's sites against its comments and module note.
+pub fn check_source(file: &str, text: &str, tally: &mut Tally) {
+    let sites = scan_source(file, text);
+    let idx = LineIndex::new(text);
+    let site_lines: HashSet<usize> = sites.iter().map(|s| s.line).collect();
+    // A run of atomic-site lines shares the comment above it, and so does
+    // a method chain continued on the line below.
+    let step_over =
+        |l: usize| site_lines.contains(&l) || idx.line_text(l + 1).trim_start().starts_with('.');
+    let note = lint_core::module_note(text, TAG);
+    let mut note_used = false;
+    tally.sites += sites.len();
+    for s in &sites {
+        let own = idx.annotation(s.line, ordering_tag, step_over);
+        let Some(why) = own.or(note) else {
+            tally.errors.push(lint_core::error(
+                "unannotated atomic site",
+                s,
+                "argue the orderings in an `// ORDERING: <why>` comment above the site, or in a `//! ORDERING: <why>` module note covering the file (DESIGN.md §13)",
             ));
+            continue;
+        };
+        if lint_core::is_placeholder(why) {
+            let form = if own.is_some() {
+                "comment"
+            } else {
+                "module note"
+            };
+            tally.errors.push(lint_core::error(
+                &format!("placeholder ORDERING {form}"),
+                s,
+                "the text after `ORDERING:` must argue why these orderings suffice",
+            ));
+        } else if own.is_some() {
+            tally.commented += 1;
+        } else {
+            tally.under_notes += 1;
+            note_used = true;
         }
     }
-
-    errors.sort();
-    errors
+    tally.notes += usize::from(note_used);
 }
 
-/// Regenerates the contract table from `sites`, carrying `justification`
-/// and `cover` over from `old` rows matched by `(file, op, orderings)` in
-/// occurrence order. New sites get `TODO` / `-`.
-pub fn bless(sites: &[Site], old: &[Row]) -> String {
-    let core_sites: Vec<_> = sites.iter().map(Site::to_core).collect();
-    let core_rows: Vec<_> = old.iter().map(Row::to_core).collect();
-    lint_core::bless_table(
-        &core_sites,
-        &core_rows,
-        PREAMBLE,
-        "| Site | Op | Orderings | Justification | DST cover |\n|---|---|---|---|---|\n",
-        |s| {
-            // Split the `op(orderings)` signature back into its two cells.
-            let (op, rest) = s.sig.split_once('(').unwrap_or((s.sig.as_str(), ""));
-            format!("{} | {}", op, rest.trim_end_matches(')'))
-        },
-        &["TODO", "-"],
-    )
+/// Checks every file under `root/crates/*/src`.
+pub fn check_tree(root: &Path) -> std::io::Result<Tally> {
+    let mut tally = Tally::default();
+    for (file, text) in lint_core::read_tree(root)? {
+        check_source(&file, &text, &mut tally);
+    }
+    Ok(tally)
 }
 
-/// Document head emitted by [`bless`]; edit here, not in ORDERINGS.md.
-pub const PREAMBLE: &str = "\
-# Atomic-ordering contract
-
-Every atomic operation and fence under `crates/*/src` is listed here with
-its memory orderings, a one-line justification (mandatory for `SeqCst` —
-the expensive default is the one that needs arguing), and the DST model or
-litmus test that exercises the site. `cargo run -p ordering-lint` enforces
-the table: unlisted sites, stale/drifted `file:line` anchors, and
-unjustified `SeqCst` rows all fail CI (DESIGN.md §13).
-
-After moving or adding atomic code, run
-`cargo run -p ordering-lint -- --bless` to regenerate this table (prose
-columns carry over by file + op + orderings), then fill in any `TODO`.
-This file is generated — free-form notes belong in DESIGN.md §13.
-
-";
-
-/// Locates the workspace root: the nearest ancestor of `start` containing
-/// a `Cargo.toml` with a `[workspace]` section.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
-    lint_core::find_root(start)
-}
-
-fn from_core_sites(sites: &[lint_core::Site]) -> Vec<Site> {
-    sites
-        .iter()
-        .map(|s| {
-            let (op, rest) = s.sig.split_once('(').unwrap_or((s.sig.as_str(), ""));
-            Site {
-                file: s.file.clone(),
-                line: s.line,
-                op: op.to_string(),
-                orderings: rest.trim_end_matches(')').to_string(),
-            }
-        })
-        .collect()
-}
-
-fn from_core_rows(rows: &[lint_core::Row]) -> Vec<Row> {
-    rows.iter()
-        .map(|r| {
-            let op = r.sig.split('(').next().unwrap_or_default().to_string();
-            Row {
-                file: r.file.clone(),
-                line: r.line,
-                op,
-                orderings: r.prose.first().cloned().unwrap_or_default(),
-                justification: r.prose.get(1).cloned().unwrap_or_default(),
-                cover: r.prose.get(2).cloned().unwrap_or_default(),
-            }
-        })
-        .collect()
-}
-
-/// The [`lint_core::LintSpec`] wiring this lint into the shared CLI
-/// protocol (`lint_core::run_cli`).
+/// The [`lint_core::LintSpec`] wiring this lint into the shared CLI.
 pub fn spec() -> lint_core::LintSpec {
     lint_core::LintSpec {
         name: "ordering-lint",
-        doc: "ORDERINGS.md",
-        scans: "atomic ops",
-        sites_noun: "atomic sites",
-        scan: |root| Ok(scan_tree(root)?.iter().map(Site::to_core).collect()),
-        parse: |text| {
-            Ok(parse_contract(text)?
-                .iter()
-                .map(|r| lint_core::Row {
-                    file: r.file.clone(),
-                    line: r.line,
-                    sig: format!("{}({})", r.op, r.orderings),
-                    prose: vec![
-                        r.orderings.clone(),
-                        r.justification.clone(),
-                        r.cover.clone(),
-                    ],
-                })
-                .collect())
+        about: "check that every atomic op under crates/*/src argues its orderings in an `ORDERING:` comment",
+        run: |root| {
+            let t = check_tree(root)?;
+            Ok(lint_core::Report {
+                coverage: format!(
+                    "{} atomic sites: {} under {} module notes, {} with site comments",
+                    t.sites, t.under_notes, t.notes, t.commented
+                ),
+                errors: t.errors,
+            })
         },
-        check: |_root, sites, rows| check(&from_core_sites(sites), &from_core_rows(rows)),
-        bless: |sites, rows| bless(&from_core_sites(sites), &from_core_rows(rows)),
     }
 }
 
@@ -359,18 +212,10 @@ fn f(a: &AtomicUsize) {
 }
 "#;
 
-    fn rows_for(sites: &[Site], justification: &str) -> Vec<Row> {
-        sites
-            .iter()
-            .map(|s| Row {
-                file: s.file.clone(),
-                line: s.line,
-                op: s.op.clone(),
-                orderings: s.orderings.clone(),
-                justification: justification.to_string(),
-                cover: "-".to_string(),
-            })
-            .collect()
+    fn check(text: &str) -> Tally {
+        let mut tally = Tally::default();
+        check_source("x.rs", text, &mut tally);
+        tally
     }
 
     #[test]
@@ -394,74 +239,67 @@ fn f(a: &AtomicUsize) {
         let sites = scan_source("y.rs", src);
         assert_eq!(sites.len(), 1);
         assert_eq!(sites[0].line, 1);
-        assert_eq!(sites[0].orderings, "AcqRel, Acquire");
+        assert_eq!(sites[0].sig, "compare_exchange(AcqRel, Acquire)");
     }
 
     #[test]
     fn clean_contract_passes() {
-        let sites = scan_source("x.rs", SRC);
-        let rows = rows_for(&sites, "argued");
-        assert_eq!(check(&sites, &rows), Vec::<String>::new());
+        // A module note covers the file; the CAS argues its own orderings,
+        // and the fence on the next line shares that comment as a run.
+        let src = SRC
+            .replacen("\nuse", "//! ORDERING: argued once for the file\nuse", 1)
+            .replace(
+                "    let _ = a.compare_exchange",
+                "    // ORDERING: own argument\n    let _ = a.compare_exchange",
+            );
+        let t = check(&src);
+        assert_eq!(t.errors, Vec::<String>::new());
+        assert_eq!((t.sites, t.under_notes, t.commented, t.notes), (4, 2, 2, 1));
     }
 
     #[test]
     fn unlisted_site_fails() {
-        let sites = scan_source("x.rs", SRC);
-        let mut rows = rows_for(&sites, "argued");
-        rows.remove(0);
-        let errs = check(&sites, &rows);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("unlisted atomic site"), "{}", errs[0]);
-        assert!(errs[0].contains("x.rs:4 store(Release)"), "{}", errs[0]);
-    }
-
-    #[test]
-    fn unjustified_seqcst_fails_but_weaker_orders_need_no_prose() {
-        let sites = scan_source("x.rs", SRC);
-        let rows = rows_for(&sites, "TODO");
-        let errs = check(&sites, &rows);
-        // The two SeqCst rows (CAS + fence) fail; Release/Acquire pass.
-        assert_eq!(errs.len(), 2, "{errs:?}");
-        assert!(errs.iter().all(|e| e.contains("unjustified SeqCst")));
-    }
-
-    #[test]
-    fn drifted_anchor_fails_with_relocation_hint() {
-        let sites = scan_source("x.rs", SRC);
-        let mut rows = rows_for(&sites, "argued");
-        rows[1].line = 99; // the load moved
-        let errs = check(&sites, &rows);
-        assert_eq!(errs.len(), 2, "{errs:?}"); // stale row + now-unlisted site
-        assert!(errs.iter().any(|e| e.contains("drifted contract anchor")));
+        let src = SRC.replace(
+            "    let _ = a.compare_exchange",
+            "    // ORDERING: own argument\n    let _ = a.compare_exchange",
+        );
+        let t = check(&src);
+        // No module note: the store and the load above the comment fail.
+        assert_eq!(t.errors.len(), 2, "{:?}", t.errors);
+        assert!(t
+            .errors
+            .iter()
+            .all(|e| e.contains("unannotated atomic site")));
         assert!(
-            errs.iter().any(|e| e.contains("now at line(s) 5")),
-            "{errs:?}"
+            t.errors[0].contains("x.rs:4 store(Release)"),
+            "{}",
+            t.errors[0]
         );
     }
 
     #[test]
-    fn bless_emits_a_parseable_table_and_carries_prose_over() {
-        let sites = scan_source("crates/x/src/x.rs", SRC);
-        let old = vec![Row {
-            file: "crates/x/src/x.rs".to_string(),
-            line: 1, // stale anchor: carried by (file, op, orderings)
-            op: "fence".to_string(),
-            orderings: "SeqCst".to_string(),
-            justification: "global sync point".to_string(),
-            cover: "litmus".to_string(),
-        }];
-        let doc = bless(&sites, &old);
-        let rows = parse_contract(&doc).unwrap();
-        assert_eq!(rows.len(), sites.len());
-        let fence_row = rows.iter().find(|r| r.op == "fence").unwrap();
-        assert_eq!(fence_row.justification, "global sync point");
-        assert_eq!(fence_row.cover, "litmus");
-        assert!(rows
-            .iter()
-            .filter(|r| r.op != "fence")
-            .all(|r| r.justification == "TODO"));
-        // And a blessed doc checks clean except for SeqCst TODOs.
-        let errs = check(&sites, &rows);
-        assert!(errs.iter().all(|e| e.contains("unjustified SeqCst")));
+    fn placeholder_ordering_comment_fails() {
+        let src = SRC.replace(
+            "    fence(SeqCst);",
+            "    // ORDERING: TODO\n    fence(SeqCst);",
+        );
+        let src = format!("//! ORDERING:\n{src}");
+        let t = check(&src);
+        // The fence's own comment and the blank module note under the other
+        // three sites are all placeholders.
+        assert_eq!(t.errors.len(), 4, "{:?}", t.errors);
+        assert_eq!(
+            t.errors
+                .iter()
+                .filter(|e| e.contains("placeholder ORDERING module note"))
+                .count(),
+            3
+        );
+    }
+
+    #[test]
+    fn method_chain_sites_share_the_statement_comment() {
+        let src = "// ORDERING: argued\nlet x = self\n    .head\n    .load(Acquire);\n";
+        assert!(check(src).errors.is_empty());
     }
 }

@@ -2,8 +2,7 @@
 //! 0 clean, 1 contract violations, 2 usage/IO error.
 //!
 //! ```text
-//! cargo run -p ordering-lint              # check crates/*/src vs ORDERINGS.md
-//! cargo run -p ordering-lint -- --bless   # regenerate ORDERINGS.md
+//! cargo run -p ordering-lint   # check crates/*/src
 //! ```
 
 use std::process::ExitCode;

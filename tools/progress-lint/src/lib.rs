@@ -1,24 +1,21 @@
-//! Progress contract lint (ISSUE 10 tentpole a; DESIGN.md §15).
+//! Progress contract lint (DESIGN.md §15).
 //!
 //! The paper's headline claim is *wait-freedom with bounded memory*: every
 //! loop on the hot path must terminate in a bounded number of steps. This
 //! lint makes that claim line-by-line accountable. It scans every `.rs`
 //! file under `crates/*/src` for loop heads — `loop {`, `while`, and
-//! `while let` — and checks each against the contract table in `LOOPS.md`:
+//! `while let` — and checks that each one carries a bound comment,
+//! `// BOUND(<class>): <why>`, in the comment block directly above it or
+//! trailing on its line:
 //!
-//! * every loop must have a row whose `file:line` and loop kind match
-//!   exactly (edits that move a loop are **anchor drift** until the table
-//!   is re-blessed);
-//! * every row must still match a loop (stale rows are drift too);
-//! * every row must claim a **bound class** from the taxonomy below — a
-//!   `TODO`/unknown class is an *unclassified loop* and fails CI, so a
-//!   freshly blessed new loop cannot land unaudited;
-//! * a [`WAIT_EDGE`] row — the one class that declares the loop
-//!   intentionally unbounded — must carry a non-placeholder justification
-//!   arguing why waiting forever is the *intended* semantics there
-//!   (parking facades, helper hand-off edges, test harnesses). Unbounded
-//!   is the expensive default that needs arguing, exactly like `SeqCst`
-//!   in `ORDERINGS.md`.
+//! * a loop with no `BOUND` comment fails;
+//! * the class must come from the taxonomy below — an unknown class is an
+//!   *unclassified loop* and fails, so a new loop cannot land unaudited;
+//! * the text after the colon must argue the bound; a placeholder (empty,
+//!   `TODO`, `-`) fails. This matters most for [`WAIT_EDGE`], the one
+//!   class that declares the loop intentionally unbounded: its prose must
+//!   say why waiting forever is the *intended* semantics there (parking
+//!   facades, helper hand-off edges, test harnesses).
 //!
 //! # Bound-class taxonomy
 //!
@@ -34,11 +31,12 @@
 //!
 //! The scanner is textual and cfg-blind like its siblings: both DWCAS
 //! backends and the `wcq_dst` seam are audited in one pass, and `#[cfg]`
-//! tricks cannot hide a loop from the table. `for` loops are deliberately
-//! out of scope: iterating a finite iterator is `finite-iter` by
-//! construction, and the tree's hot paths use explicit `loop`/`while`
-//! forms everywhere unboundedness could arise.
+//! tricks cannot hide a loop. `for` loops are deliberately out of scope:
+//! iterating a finite iterator is `finite-iter` by construction, and the
+//! tree's hot paths use explicit `loop`/`while` forms everywhere
+//! unboundedness could arise.
 
+use lint_core::{LineIndex, Site};
 use std::path::Path;
 
 /// The recognized bound classes (see the module docs for semantics).
@@ -52,19 +50,23 @@ pub const BOUND_CLASSES: &[&str] = &[
     "wait-edge",
 ];
 
-/// The one class that declares a loop intentionally unbounded; rows
-/// claiming it must justify why that is the intended semantics.
+/// The one class that declares a loop intentionally unbounded.
 pub const WAIT_EDGE: &str = "wait-edge";
 
 /// Scans one file's text for loop heads. `file` is the label recorded in
 /// the sites. Returned sigs are `"loop"`, `"while"`, or `"while-let"`.
-pub fn scan_source(file: &str, text: &str) -> Vec<lint_core::Site> {
-    let idx = lint_core::LineIndex::new(text);
-    let mut sites: Vec<(usize, lint_core::Site)> = Vec::new();
+pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
+    let idx = LineIndex::new(text);
+    let mut sites: Vec<(usize, Site)> = Vec::new();
+    let site = |line, sig: &str| Site {
+        file: file.to_string(),
+        line,
+        sig: sig.to_string(),
+    };
 
     for at in lint_core::find_word(text, "loop") {
         let line = idx.line_of(at);
-        if idx.is_comment_line(text, line) || idx.in_string(text, at) {
+        if idx.is_comment_line(line) || idx.in_string(at) {
             continue;
         }
         // The `loop` keyword is always directly followed by its block;
@@ -73,12 +75,12 @@ pub fn scan_source(file: &str, text: &str) -> Vec<lint_core::Site> {
         if text[at + 4..].trim_start().as_bytes().first() != Some(&b'{') {
             continue;
         }
-        sites.push((at, site(file, line, "loop")));
+        sites.push((at, site(line, "loop")));
     }
 
     for at in lint_core::find_word(text, "while") {
         let line = idx.line_of(at);
-        if idx.is_comment_line(text, line) || idx.in_string(text, at) {
+        if idx.is_comment_line(line) || idx.in_string(at) {
             continue;
         }
         let rest = text[at + 5..].trim_start();
@@ -88,132 +90,102 @@ pub fn scan_source(file: &str, text: &str) -> Vec<lint_core::Site> {
             continue;
         }
         let kind = if rest.starts_with("let")
-            && !rest.as_bytes().get(3).copied().is_some_and(lint_core::is_ident)
+            && !rest
+                .as_bytes()
+                .get(3)
+                .copied()
+                .is_some_and(lint_core::is_ident)
         {
             "while-let"
         } else {
             "while"
         };
-        sites.push((at, site(file, line, kind)));
+        sites.push((at, site(line, kind)));
     }
 
     sites.sort_by_key(|a| (a.1.line, a.0));
     sites.into_iter().map(|(_, s)| s).collect()
 }
 
-fn site(file: &str, line: usize, sig: &str) -> lint_core::Site {
-    lint_core::Site {
-        file: file.to_string(),
-        line,
-        sig: sig.to_string(),
-        meta: String::new(),
-    }
+/// Loop counts and errors accumulated over the checked files.
+#[derive(Debug, Default)]
+pub struct Tally {
+    pub loops: usize,
+    /// Loops whose `BOUND` comment checked clean.
+    pub bounded: usize,
+    /// Of those, the ones claiming [`WAIT_EDGE`].
+    pub wait_edges: usize,
+    pub errors: Vec<String>,
 }
 
-/// Walks `root/crates/*/src` and scans each `.rs` file.
-pub fn scan_tree(root: &Path) -> std::io::Result<Vec<lint_core::Site>> {
-    lint_core::scan_tree(root, scan_source)
+/// What a line carries after `BOUND(`: `<class>): <why>`.
+fn bound_tag(line: &str) -> Option<&str> {
+    line.split_once("BOUND(").map(|(_, rest)| rest)
 }
 
-/// Parses the `LOOPS.md` contract table. Row cells: site | kind | bound |
-/// justification | cover. The bound class, justification, and cover ride
-/// in [`lint_core::Row::prose`] in that order.
-pub fn parse_contract(text: &str) -> Result<Vec<lint_core::Row>, String> {
-    lint_core::parse_rows("LOOPS.md", text, 5, |cells| {
-        (
-            cells[0].to_string(),
-            cells[1..].iter().map(|c| c.to_string()).collect(),
-        )
-    })
-}
-
-const CHECK_CFG: lint_core::CheckCfg = lint_core::CheckCfg {
-    doc: "LOOPS.md",
-    unlisted_kind: "unlisted loop",
-    unlisted_note: "every loop must claim a bound class in LOOPS.md (run `cargo run -p progress-lint -- --bless` and classify the TODO)",
-    moved_prefix: "same loop kind now at line(s) ",
-    gone_note: "no such loop kind in the file anymore",
-};
-
-/// Checks sites against contract rows; returns clippy-style error strings
-/// (empty = clean).
-pub fn check(sites: &[lint_core::Site], rows: &[lint_core::Row]) -> Vec<String> {
-    let mut errors = lint_core::check_anchors(sites, rows, &CHECK_CFG);
-
-    for r in rows {
-        let bound = r.prose.first().map(String::as_str).unwrap_or("");
-        let justification = r.prose.get(1).map(String::as_str).unwrap_or("");
-        if !BOUND_CLASSES.contains(&bound.trim()) {
-            errors.push(format!(
-                "error: unclassified loop\n  --> {}:{} {}\n  = note: bound class `{}` is not in the taxonomy ({}); an unaudited loop is an unproven progress claim (LOOPS.md)",
-                r.file, r.line, r.sig, bound, BOUND_CLASSES.join("/")
+/// Checks one file's loop heads against their `BOUND` comments.
+pub fn check_source(file: &str, text: &str, tally: &mut Tally) {
+    let idx = LineIndex::new(text);
+    for s in scan_source(file, text) {
+        tally.loops += 1;
+        let Some(rest) = idx.annotation(s.line, bound_tag, |_| false) else {
+            tally.errors.push(lint_core::error(
+                "loop without BOUND",
+                &s,
+                "every loop must claim a bound class in a `// BOUND(<class>): <why>` comment directly above it — an unaudited loop is an unproven progress claim (DESIGN.md §15)",
             ));
-        } else if bound.trim() == WAIT_EDGE && lint_core::is_placeholder(justification) {
-            errors.push(format!(
-                "error: unjustified wait-edge\n  --> {}:{} {}\n  = note: `wait-edge` declares the loop intentionally unbounded — argue why waiting is the intended semantics here (LOOPS.md)",
-                r.file, r.line, r.sig
+            continue;
+        };
+        let (class, why) = rest.split_once("):").unwrap_or((rest.trim_end(), ""));
+        if !BOUND_CLASSES.contains(&class) {
+            tally.errors.push(lint_core::error(
+                "unclassified loop",
+                &s,
+                &format!(
+                    "bound class `{class}` is not in the taxonomy ({})",
+                    BOUND_CLASSES.join("/")
+                ),
             ));
+        } else if lint_core::is_placeholder(why) {
+            let note = if class == WAIT_EDGE {
+                "`wait-edge` declares the loop intentionally unbounded — argue why waiting is the intended semantics here"
+            } else {
+                "the text after `BOUND(..):` must argue why the loop is bounded"
+            };
+            tally
+                .errors
+                .push(lint_core::error(&format!("unjustified {class}"), &s, note));
+        } else {
+            tally.bounded += 1;
+            tally.wait_edges += usize::from(class == WAIT_EDGE);
         }
     }
-
-    errors.sort();
-    errors
 }
 
-/// Regenerates `LOOPS.md` from `sites`, carrying bound/justification/cover
-/// over from `old` by `(file, kind)` occurrence order. New loops get a
-/// `TODO` bound class, which [`check`] rejects — a new loop cannot land
-/// unclassified even straight after a bless.
-pub fn bless(sites: &[lint_core::Site], old: &[lint_core::Row]) -> String {
-    lint_core::bless_table(
-        sites,
-        old,
-        PREAMBLE,
-        "| Site | Kind | Bound | Justification | Cover |\n|---|---|---|---|---|\n",
-        |s| s.sig.clone(),
-        &["TODO", "TODO", "-"],
-    )
+/// Checks every file under `root/crates/*/src`.
+pub fn check_tree(root: &Path) -> std::io::Result<Tally> {
+    let mut tally = Tally::default();
+    for (file, text) in lint_core::read_tree(root)? {
+        check_source(&file, &text, &mut tally);
+    }
+    Ok(tally)
 }
-
-/// Document head emitted by [`bless`]; edit here, not in LOOPS.md.
-pub const PREAMBLE: &str = "\
-# Progress contract
-
-Every `loop` / `while` / `while let` under `crates/*/src` is listed here
-with a **bound class** — the argument for why the loop terminates in a
-bounded number of steps — a one-line justification (mandatory for
-`wait-edge`, the class that declares a loop intentionally unbounded), and
-the test or DST model that exercises the site. This is the paper's §3
-wait-freedom claim made line-by-line accountable: `cargo run -p
-progress-lint` fails CI on unlisted loops, stale/drifted `file:line`
-anchors, bound classes outside the taxonomy, and unjustified `wait-edge`
-rows (DESIGN.md §15).
-
-Bound classes: `const` (compile-time/configured iteration budget),
-`capacity` (ring/buffer/input size), `threshold` (§3.2 decreasing-counter
-argument), `helping-bounded` (§3.4 helpers finish a stalled op in bounded
-passes), `retry-budget` (explicit attempt budget), `finite-iter` (drains a
-finite collection nobody refills), `wait-edge` (intentional unbounded wait
-on an external event — park/yield edges, shutdown joins, test barriers).
-
-After moving or adding a loop, run
-`cargo run -p progress-lint -- --bless` to regenerate (prose carries over
-by file + kind), then classify any `TODO`. This file is generated —
-free-form notes belong in DESIGN.md §15.
-
-";
 
 /// The [`lint_core::LintSpec`] wiring this lint into the shared CLI.
 pub fn spec() -> lint_core::LintSpec {
     lint_core::LintSpec {
         name: "progress-lint",
-        doc: "LOOPS.md",
-        scans: "loop/while heads",
-        sites_noun: "loop sites",
-        scan: scan_tree,
-        parse: parse_contract,
-        check: |_root, sites, rows| check(sites, rows),
-        bless,
+        about: "check that every loop/while under crates/*/src claims a bound class in a `BOUND(<class>):` comment",
+        run: |root| {
+            let t = check_tree(root)?;
+            Ok(lint_core::Report {
+                coverage: format!(
+                    "{} loop sites: {} with BOUND comments ({} wait-edge)",
+                    t.loops, t.bounded, t.wait_edges
+                ),
+                errors: t.errors,
+            })
+        },
     }
 }
 
@@ -251,86 +223,63 @@ fn f(n: usize) {
         );
     }
 
-    fn rows_for(sites: &[lint_core::Site], bound: &str, j: &str) -> Vec<lint_core::Row> {
-        sites
-            .iter()
-            .map(|s| lint_core::Row {
-                file: s.file.clone(),
-                line: s.line,
-                sig: s.sig.clone(),
-                prose: vec![bound.to_string(), j.to_string(), "-".to_string()],
-            })
-            .collect()
+    /// `SRC` with `// BOUND(<class>): <why>` above every loop head.
+    fn bounded(class: &str, why: &str) -> String {
+        let mut out = String::new();
+        for l in SRC.lines() {
+            let t = l.trim_start();
+            if t.starts_with("loop") || t.starts_with("'outer") || t.starts_with("while") {
+                out.push_str(&format!("    // BOUND({class}): {why}\n"));
+            }
+            out.push_str(l);
+            out.push('\n');
+        }
+        out
+    }
+
+    fn check(text: &str) -> Tally {
+        let mut tally = Tally::default();
+        check_source("x.rs", text, &mut tally);
+        tally
     }
 
     #[test]
     fn classified_contract_passes() {
-        let sites = scan_source("x.rs", SRC);
-        let rows = rows_for(&sites, "const", "-");
-        assert_eq!(check(&sites, &rows), Vec::<String>::new());
+        let t = check(&bounded("const", "breaks at once"));
+        assert_eq!(t.errors, Vec::<String>::new());
+        assert_eq!((t.loops, t.bounded, t.wait_edges), (4, 4, 0));
     }
 
     #[test]
     fn todo_bound_class_fails_as_unclassified() {
-        let sites = scan_source("x.rs", SRC);
-        let rows = rows_for(&sites, "TODO", "-");
-        let errs = check(&sites, &rows);
-        assert_eq!(errs.len(), sites.len(), "{errs:?}");
-        assert!(errs.iter().all(|e| e.contains("unclassified loop")));
+        let t = check(&bounded("TODO", "-"));
+        assert_eq!(t.errors.len(), 4, "{:?}", t.errors);
+        assert!(t.errors.iter().all(|e| e.contains("unclassified loop")));
     }
 
     #[test]
     fn wait_edge_requires_justification() {
-        let sites = scan_source("x.rs", SRC);
-        let mut rows = rows_for(&sites, "wait-edge", "parks on the empty edge");
-        assert!(check(&sites, &rows).is_empty());
-        rows[0].prose[1] = "-".to_string();
-        let errs = check(&sites, &rows);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("unjustified wait-edge"), "{}", errs[0]);
-    }
-
-    #[test]
-    fn unlisted_loop_and_drifted_anchor_fail() {
-        let sites = scan_source("x.rs", SRC);
-        let mut rows = rows_for(&sites, "capacity", "-");
-        rows.remove(0);
-        let errs = check(&sites, &rows);
-        assert!(errs.iter().any(|e| e.contains("unlisted loop")), "{errs:?}");
-        let mut rows = rows_for(&sites, "capacity", "-");
-        rows[2].line += 500;
-        let errs = check(&sites, &rows);
-        assert!(
-            errs.iter().any(|e| e.contains("drifted contract anchor")),
-            "{errs:?}"
+        let t = check(&bounded("wait-edge", "parks on the empty edge"));
+        assert!(t.errors.is_empty(), "{:?}", t.errors);
+        assert_eq!(t.wait_edges, 4);
+        let src = bounded("wait-edge", "parks on the empty edge").replacen(
+            "parks on the empty edge",
+            "",
+            1,
         );
+        let t = check(&src);
+        assert_eq!(t.errors.len(), 1, "{:?}", t.errors);
         assert!(
-            errs.iter().any(|e| e.contains("same loop kind now at line(s) 7")),
-            "{errs:?}"
+            t.errors[0].contains("unjustified wait-edge"),
+            "{}",
+            t.errors[0]
         );
     }
 
     #[test]
-    fn bless_carries_prose_and_marks_new_loops_todo() {
-        let sites = scan_source("crates/x/src/x.rs", SRC);
-        let old = vec![lint_core::Row {
-            file: "crates/x/src/x.rs".to_string(),
-            line: 1, // stale anchor: carried by (file, kind)
-            sig: "while-let".to_string(),
-            prose: vec![
-                "finite-iter".to_string(),
-                "drains the iterator".to_string(),
-                "unit".to_string(),
-            ],
-        }];
-        let doc = bless(&sites, &old);
-        let rows = parse_contract(&doc).unwrap();
-        assert_eq!(rows.len(), sites.len());
-        let wl = rows.iter().find(|r| r.sig == "while-let").unwrap();
-        assert_eq!(wl.prose, ["finite-iter", "drains the iterator", "unit"]);
-        // Every other (new) loop landed as TODO and is rejected.
-        let errs = check(&sites, &rows);
-        assert_eq!(errs.len(), sites.len() - 1, "{errs:?}");
-        assert!(errs.iter().all(|e| e.contains("unclassified loop")));
+    fn loop_without_bound_fails() {
+        let t = check(SRC);
+        assert_eq!(t.errors.len(), 4, "{:?}", t.errors);
+        assert!(t.errors.iter().all(|e| e.contains("loop without BOUND")));
     }
 }

@@ -2,8 +2,7 @@
 //! 1 contract violations, 2 usage/IO error.
 //!
 //! ```text
-//! cargo run -p progress-lint              # check crates/*/src vs LOOPS.md
-//! cargo run -p progress-lint -- --bless   # regenerate LOOPS.md
+//! cargo run -p progress-lint   # check crates/*/src
 //! ```
 
 use std::process::ExitCode;

@@ -1,105 +1,73 @@
-//! The progress contract against the real tree: the checked-in LOOPS.md
-//! must be clean, and the failure modes the CI gate exists for — a loop
-//! nobody classified, a bound class outside the taxonomy, an unjustified
-//! `wait-edge`, and a drifted `file:line` anchor — must be demonstrably
-//! fatal, not theoretical.
+//! The progress contract against the real tree: the checked-in `BOUND`
+//! comments must be clean, and the failure modes the CI gate exists for —
+//! a loop whose `BOUND` is removed, a bound class outside the taxonomy,
+//! and a `wait-edge` with no prose — must be demonstrably fatal on real
+//! source text, not theoretical.
 
-use std::path::Path;
+use progress_lint::{check_source, check_tree, Tally};
+use std::path::{Path, PathBuf};
 
-fn real_tree() -> (Vec<lint_core::Site>, Vec<lint_core::Row>) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+fn root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
         .expect("tools/progress-lint sits two levels under the workspace root")
-        .to_path_buf();
-    let sites = progress_lint::scan_tree(&root).expect("scan crates/*/src");
-    let contract = std::fs::read_to_string(root.join("LOOPS.md")).expect("LOOPS.md");
-    let rows = progress_lint::parse_contract(&contract).expect("parse contract");
-    (sites, rows)
+        .to_path_buf()
+}
+
+/// The real wCQ ring, with one loop class of each kind the tests need.
+const RING: &str = "crates/core/src/wcq/ring.rs";
+
+fn ring_errors(edit: impl Fn(&str) -> String) -> Vec<String> {
+    let text = std::fs::read_to_string(root().join(RING)).expect(RING);
+    let edited = edit(&text);
+    assert_ne!(edited, text, "the edit must change {RING}");
+    let mut tally = Tally::default();
+    check_source(RING, &edited, &mut tally);
+    tally.errors
 }
 
 #[test]
 fn checked_in_contract_is_clean() {
-    let (sites, rows) = real_tree();
+    let t = check_tree(&root()).expect("scan crates/*/src");
     assert!(
-        sites.len() > 80,
+        t.loops > 80,
         "scanner regression: only {} loop sites found",
-        sites.len()
+        t.loops
     );
-    let errors = progress_lint::check(&sites, &rows);
-    assert!(errors.is_empty(), "progress-lint dirty:\n{}", errors.join("\n"));
+    assert_eq!(t.loops, t.bounded);
+    assert!(
+        t.errors.is_empty(),
+        "progress-lint dirty:\n{}",
+        t.errors.join("\n")
+    );
 }
 
 #[test]
 fn injected_unlisted_loop_fails() {
-    let (mut sites, rows) = real_tree();
-    // The site a `loop {}` added without a LOOPS.md row would produce.
-    sites.push(lint_core::Site {
-        file: "crates/core/src/lib.rs".to_string(),
-        line: 99_999,
-        sig: "loop".to_string(),
-        meta: String::new(),
-    });
-    let errors = progress_lint::check(&sites, &rows);
-    assert!(
-        errors.iter().any(|e| e.contains("unlisted loop")),
-        "expected an unlisted-loop error, got: {errors:?}"
-    );
+    // The first bound comment loses its tag, as if the loop were new.
+    let errors = ring_errors(|t| t.replacen("// BOUND(", "// (", 1));
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("loop without BOUND"), "{}", errors[0]);
 }
 
 #[test]
 fn bound_class_outside_the_taxonomy_fails() {
-    let (sites, mut rows) = real_tree();
-    rows[0].prose[0] = "vibes".to_string();
-    let errors = progress_lint::check(&sites, &rows);
-    assert!(
-        errors.iter().any(|e| e.contains("unclassified loop")),
-        "expected an unclassified-loop error, got: {errors:?}"
-    );
+    let errors = ring_errors(|t| t.replacen("BOUND(const)", "BOUND(bogus)", 1));
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("unclassified loop"), "{}", errors[0]);
+    assert!(errors[0].contains("`bogus`"), "{}", errors[0]);
 }
 
 #[test]
 fn blanking_a_wait_edge_justification_fails() {
-    let (sites, mut rows) = real_tree();
-    let row = rows
-        .iter_mut()
-        .find(|r| r.prose[0] == progress_lint::WAIT_EDGE)
-        .expect("tree has wait-edge rows");
-    row.prose[1] = "TODO".to_string();
-    let errors = progress_lint::check(&sites, &rows);
-    assert!(
-        errors.iter().any(|e| e.contains("unjustified wait-edge")),
-        "expected an unjustified-wait-edge error, got: {errors:?}"
-    );
-}
-
-#[test]
-fn drifting_an_anchor_fails() {
-    let (sites, mut rows) = real_tree();
-    // Shift one row far out of place, as an edit that inserts lines would.
-    rows[0].line += 10_000;
-    let errors = progress_lint::check(&sites, &rows);
-    assert!(
-        errors.iter().any(|e| e.contains("drifted contract anchor")),
-        "expected a drifted-anchor error, got: {errors:?}"
-    );
-    assert!(
-        errors.iter().any(|e| e.contains("unlisted loop")),
-        "the displaced site must surface as unlisted too, got: {errors:?}"
-    );
-}
-
-#[test]
-fn bless_roundtrip_is_stable_and_preserves_prose() {
-    let (sites, rows) = real_tree();
-    let doc = progress_lint::bless(&sites, &rows);
-    let reparsed = progress_lint::parse_contract(&doc).expect("blessed doc parses");
-    assert_eq!(reparsed.len(), sites.len());
-    // Bless over an already-clean tree is a fixpoint: no TODOs introduced,
-    // every row checks clean.
-    assert!(
-        !doc.contains("| TODO |"),
-        "bless must carry all classifications over on an unchanged tree"
-    );
-    assert!(progress_lint::check(&sites, &reparsed).is_empty());
+    let errors = ring_errors(|t| {
+        let at = t
+            .find("BOUND(wait-edge):")
+            .expect("ring has a wait-edge loop");
+        let eol = at + t[at..].find('\n').unwrap();
+        format!("{}BOUND(wait-edge):{}", &t[..at], &t[eol..])
+    });
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("unjustified wait-edge"), "{}", errors[0]);
 }

@@ -1,26 +1,18 @@
-//! Unsafety contract lint (ISSUE 10 tentpole b; DESIGN.md §15).
+//! Unsafety contract lint (DESIGN.md §15).
 //!
 //! Scans every `.rs` file under `crates/*/src` for `unsafe` sites —
 //! blocks, `unsafe fn` declarations, `unsafe impl`s, `unsafe trait`s, and
-//! `unsafe fn(..)` pointer types — and checks each against the contract
-//! table in `UNSAFETY.md`:
+//! `unsafe fn(..)` pointer types — and checks:
 //!
-//! * every site must have a row whose `file:line` and kind match exactly
-//!   (anchor drift until re-blessed), and every row must still match a
-//!   site;
-//! * every row must carry a non-placeholder **invariant** — the one-line
-//!   statement of what makes the site sound. There is no cheap default
-//!   in unsafety: every site argues;
-//! * every block/fn/impl/trait site must have an **adjacent in-source
-//!   safety comment** — a `// SAFETY:` line in the contiguous
-//!   comment/attribute block above it (or trailing on the same line), or
-//!   a `# Safety` doc section for `unsafe fn` declarations. The table row
-//!   and the comment must agree on location: the lint checks both exist
-//!   at the same anchor, so prose cannot drift away from the code it
-//!   argues about. (`unsafe fn(..)` *pointer types* are exempt from the
-//!   comment rule — no operation happens at a type.)
+//! * every site has an **adjacent safety comment** — a `// SAFETY: <why>`
+//!   line in the contiguous comment/attribute block above it (or trailing
+//!   on the same line), or a `# Safety` doc section for an `unsafe fn`.
+//!   The comment is the site's only unsafety record: the invariant that
+//!   makes the site sound, stated where an edit to the site sees it. A
+//!   placeholder (empty, `TODO`, `-`) after `SAFETY:` fails. A stacked
+//!   `unsafe impl` pair (`Send` + `Sync`) may share the comment above it;
 //! * every crate under `crates/*` whose sources contain an `unsafe` site
-//!   must declare `#![deny(unsafe_op_in_unsafe_fn)]` at its root, so an
+//!   declares `#![deny(unsafe_op_in_unsafe_fn)]` at its root, so an
 //!   `unsafe fn` body cannot silently perform unsafe operations outside
 //!   an explicit, commented `unsafe {}` block — the compiler then
 //!   enforces what this lint cannot see syntactically.
@@ -28,54 +20,43 @@
 //! The scanner is textual and cfg-blind like its siblings: both DWCAS
 //! backends and the `wcq_dst` seam are audited in one pass.
 
+use lint_core::{LineIndex, Site};
+use std::collections::BTreeSet;
 use std::path::Path;
-
-/// Marker recorded in [`lint_core::Site::meta`] when the site has an
-/// adjacent safety comment.
-pub const DOCUMENTED: &str = "documented";
 
 /// The crate-root attribute every unsafe-bearing crate must declare.
 pub const DENY_ATTR: &str = "#![deny(unsafe_op_in_unsafe_fn)]";
 
 /// Scans one file's text for `unsafe` sites. Returned sigs are
 /// `"unsafe(block)"`, `"unsafe(fn)"`, `"unsafe(impl)"`,
-/// `"unsafe(trait)"`, or `"unsafe(fn-ptr)"`; `meta` is [`DOCUMENTED`]
-/// when an adjacent safety comment was found.
-pub fn scan_source(file: &str, text: &str) -> Vec<lint_core::Site> {
-    let idx = lint_core::LineIndex::new(text);
-    let mut sites: Vec<(usize, lint_core::Site)> = Vec::new();
-
+/// `"unsafe(trait)"`, or `"unsafe(fn-ptr)"`.
+pub fn scan_source(file: &str, text: &str) -> Vec<Site> {
+    let idx = LineIndex::new(text);
+    let mut sites = Vec::new();
     for at in lint_core::find_word(text, "unsafe") {
         let line = idx.line_of(at);
-        if idx.is_comment_line(text, line) || idx.in_string(text, at) {
+        if idx.is_comment_line(line) || idx.in_string(at) {
             continue;
         }
-        let rest = text[at + 6..].trim_start();
-        let kind = classify(rest);
-        let documented = has_safety_comment(text, &idx, line);
-        sites.push((
-            at,
-            lint_core::Site {
-                file: file.to_string(),
-                line,
-                sig: format!("unsafe({kind})"),
-                meta: if documented {
-                    DOCUMENTED.to_string()
-                } else {
-                    String::new()
-                },
-            },
-        ));
+        let kind = classify(text[at + 6..].trim_start());
+        sites.push(Site {
+            file: file.to_string(),
+            line,
+            sig: format!("unsafe({kind})"),
+        });
     }
-
-    sites.sort_by_key(|a| (a.1.line, a.0));
-    sites.into_iter().map(|(_, s)| s).collect()
+    sites
 }
 
 /// What follows the `unsafe` keyword decides the site kind.
 fn classify(rest: &str) -> &'static str {
     let next_word_is = |w: &str| {
-        rest.starts_with(w) && !rest.as_bytes().get(w.len()).copied().is_some_and(lint_core::is_ident)
+        rest.starts_with(w)
+            && !rest
+                .as_bytes()
+                .get(w.len())
+                .copied()
+                .is_some_and(lint_core::is_ident)
     };
     if next_word_is("fn") {
         // `unsafe fn name(..)` declares; `unsafe fn(..)` is a pointer type.
@@ -93,178 +74,103 @@ fn classify(rest: &str) -> &'static str {
     }
 }
 
-/// An adjacent safety comment is: `SAFETY` on the site's own line (the
-/// trailing-comment form), or `SAFETY` / `# Safety` anywhere in the
-/// contiguous run of comment and attribute lines directly above the site
-/// (doc blocks with a `# Safety` section qualify for `unsafe fn`). The
-/// upward walk also steps over `unsafe impl` lines: a stacked
-/// `Send`/`Sync` pair argues one invariant, and duplicating the comment
-/// between them would only invite drift.
-fn has_safety_comment(text: &str, idx: &lint_core::LineIndex, line: usize) -> bool {
-    let line_text = |l: usize| {
-        let (s, e) = idx.line_range(l);
-        &text[s..e]
-    };
-    if line_text(line).contains("SAFETY") {
-        return true;
+/// The safety argument a comment line carries: the text after `SAFETY`'s
+/// colon (`// SAFETY: ..`, `// SAFETY (to call): ..`), or the heading of
+/// an `unsafe fn`'s `# Safety` doc section.
+fn safety_tag(line: &str) -> Option<&str> {
+    match line.split_once("SAFETY") {
+        Some((_, rest)) => Some(rest.split_once(':').map_or(rest, |(_, why)| why)),
+        None => line.contains("# Safety").then_some("# Safety"),
     }
-    let mut l = line;
-    while l > 1 {
-        l -= 1;
-        let t = line_text(l).trim_start();
-        if t.starts_with("//") || t.starts_with("#[") || t.starts_with("#!") {
-            if t.contains("SAFETY") || t.contains("# Safety") {
-                return true;
-            }
-        } else if !t.starts_with("unsafe impl") {
-            break;
+}
+
+/// Site counts and errors accumulated over the checked files.
+#[derive(Debug, Default)]
+pub struct Tally {
+    pub sites: usize,
+    /// Sites whose `SAFETY` comment checked clean.
+    pub documented: usize,
+    /// Crate directories (`crates/<name>`) that contain an unsafe site.
+    pub crates: BTreeSet<String>,
+    pub errors: Vec<String>,
+}
+
+/// Checks one file's unsafe sites against their `SAFETY` comments.
+pub fn check_source(file: &str, text: &str, tally: &mut Tally) {
+    let idx = LineIndex::new(text);
+    // A stacked `Send`/`Sync` pair argues one invariant; duplicating the
+    // comment between them would only invite drift.
+    let step_over = |l: usize| idx.line_text(l).trim_start().starts_with("unsafe impl");
+    for s in scan_source(file, text) {
+        tally.sites += 1;
+        if let Some(dir) = crate_dir(&s.file) {
+            tally.crates.insert(dir.to_string());
+        }
+        match idx.annotation(s.line, safety_tag, step_over) {
+            None => tally.errors.push(lint_core::error(
+                "undocumented unsafe site",
+                &s,
+                "add a `// SAFETY:` comment (or a `# Safety` doc section for an `unsafe fn`) directly above the site",
+            )),
+            Some(why) if lint_core::is_placeholder(why) => tally.errors.push(lint_core::error(
+                "unargued unsafe site",
+                &s,
+                "state the invariant that makes this site sound after `SAFETY:`",
+            )),
+            Some(_) => tally.documented += 1,
         }
     }
-    false
 }
 
-/// Walks `root/crates/*/src` and scans each `.rs` file.
-pub fn scan_tree(root: &Path) -> std::io::Result<Vec<lint_core::Site>> {
-    lint_core::scan_tree(root, scan_source)
+/// `"crates/<name>"` for a path under it.
+fn crate_dir(file: &str) -> Option<&str> {
+    let name = file.strip_prefix("crates/")?.split('/').next()?;
+    Some(&file[..7 + name.len()])
 }
 
-/// Parses the `UNSAFETY.md` contract table. Row cells: site | kind |
-/// invariant | cover. The invariant and cover ride in
-/// [`lint_core::Row::prose`] in that order; the sig is rebuilt as
-/// `unsafe(kind)`.
-pub fn parse_contract(text: &str) -> Result<Vec<lint_core::Row>, String> {
-    lint_core::parse_rows("UNSAFETY.md", text, 4, |cells| {
-        (
-            format!("unsafe({})", cells[0]),
-            cells[1..].iter().map(|c| c.to_string()).collect(),
+/// The error for an unsafe-bearing crate whose `lib.rs` text lacks
+/// [`DENY_ATTR`], if it does.
+pub fn check_crate_root(dir: &str, lib_rs: &str) -> Option<String> {
+    (!lib_rs.contains(DENY_ATTR)).then(|| {
+        format!(
+            "error: missing {DENY_ATTR}\n  --> {dir}/src/lib.rs\n  = note: this crate contains unsafe sites; the attribute makes every unsafe op inside an `unsafe fn` require its own commented `unsafe {{}}` block"
         )
     })
 }
 
-const CHECK_CFG: lint_core::CheckCfg = lint_core::CheckCfg {
-    doc: "UNSAFETY.md",
-    unlisted_kind: "unlisted unsafe site",
-    unlisted_note: "every unsafe site must state its invariant in UNSAFETY.md (run `cargo run -p unsafe-lint -- --bless` and fill in the TODO)",
-    moved_prefix: "same unsafe kind now at line(s) ",
-    gone_note: "no such unsafe kind in the file anymore",
-};
-
-/// Checks sites against contract rows plus the in-source rules (adjacent
-/// safety comments; `#![deny(unsafe_op_in_unsafe_fn)]` on every
-/// unsafe-bearing crate root under `root`). Returns clippy-style error
-/// strings (empty = clean).
-pub fn check(root: &Path, sites: &[lint_core::Site], rows: &[lint_core::Row]) -> Vec<String> {
-    let mut errors = lint_core::check_anchors(sites, rows, &CHECK_CFG);
-
-    // Invariant prose is mandatory on every row.
-    for r in rows {
-        let invariant = r.prose.first().map(String::as_str).unwrap_or("");
-        if lint_core::is_placeholder(invariant) {
-            errors.push(format!(
-                "error: unargued unsafe site\n  --> {}:{} {}\n  = note: state the invariant that makes this site sound (UNSAFETY.md)",
-                r.file, r.line, r.sig
-            ));
+/// Checks every file under `root/crates/*/src`, then the roots of the
+/// crates that contain unsafe sites.
+pub fn check_tree(root: &Path) -> std::io::Result<Tally> {
+    let mut tally = Tally::default();
+    for (file, text) in lint_core::read_tree(root)? {
+        check_source(&file, &text, &mut tally);
+    }
+    for dir in &tally.crates {
+        // A bin-only crate has no lib.rs to pin the attribute on.
+        if let Ok(lib_rs) = std::fs::read_to_string(root.join(dir).join("src/lib.rs")) {
+            tally.errors.extend(check_crate_root(dir, &lib_rs));
         }
     }
-
-    // Adjacent-comment rule: the table row and the in-source `// SAFETY:`
-    // must agree on location.
-    for s in sites {
-        if s.sig != "unsafe(fn-ptr)" && s.meta != DOCUMENTED {
-            errors.push(format!(
-                "error: undocumented unsafe site\n  --> {s}\n  = note: add a `// SAFETY:` comment (or a `# Safety` doc section for an `unsafe fn`) directly above the site",
-            ));
-        }
-    }
-
-    // Crate-root deny rule.
-    errors.extend(check_crate_roots(root, sites));
-
-    errors.sort();
-    errors
+    Ok(tally)
 }
-
-/// The crates (by source prefix, e.g. `crates/core/`) that contain at
-/// least one unsafe site, each of whose roots must carry [`DENY_ATTR`].
-fn check_crate_roots(root: &Path, sites: &[lint_core::Site]) -> Vec<String> {
-    use std::collections::BTreeSet;
-    let mut errors = Vec::new();
-    let dirs: BTreeSet<&str> = sites
-        .iter()
-        .filter_map(|s| {
-            // "crates/<name>/src/..." → "crates/<name>"
-            let rest = s.file.strip_prefix("crates/")?;
-            let name = rest.split('/').next()?;
-            Some(&s.file[..7 + name.len()])
-        })
-        .collect();
-    for dir in dirs {
-        let lib = root.join(dir).join("src/lib.rs");
-        let Ok(text) = std::fs::read_to_string(&lib) else {
-            continue; // bin-only crate: nothing to pin the attribute on
-        };
-        if !text.contains("deny(unsafe_op_in_unsafe_fn)") {
-            errors.push(format!(
-                "error: missing {DENY_ATTR}\n  --> {dir}/src/lib.rs\n  = note: this crate contains unsafe sites; the attribute makes every unsafe op inside an `unsafe fn` require its own commented `unsafe {{}}` block"
-            ));
-        }
-    }
-    errors
-}
-
-/// Regenerates `UNSAFETY.md` from `sites`, carrying invariant/cover over
-/// from `old` by `(file, kind)` occurrence order. New sites get a `TODO`
-/// invariant, which [`check`] rejects — a new unsafe site cannot land
-/// unargued even straight after a bless.
-pub fn bless(sites: &[lint_core::Site], old: &[lint_core::Row]) -> String {
-    lint_core::bless_table(
-        sites,
-        old,
-        PREAMBLE,
-        "| Site | Kind | Invariant | Cover |\n|---|---|---|---|\n",
-        |s| {
-            s.sig
-                .trim_start_matches("unsafe(")
-                .trim_end_matches(')')
-                .to_string()
-        },
-        &["TODO", "-"],
-    )
-}
-
-/// Document head emitted by [`bless`]; edit here, not in UNSAFETY.md.
-pub const PREAMBLE: &str = "\
-# Unsafety contract
-
-Every `unsafe` site under `crates/*/src` — blocks, `unsafe fn`
-declarations, `unsafe impl`s/`trait`s, and `unsafe fn(..)` pointer types —
-is listed here with the **invariant** that makes it sound and the test or
-DST model that exercises it. `cargo run -p unsafe-lint` enforces the
-table: unlisted sites, stale/drifted `file:line` anchors, placeholder
-invariants, sites without an adjacent in-source `// SAFETY:` comment (or
-`# Safety` doc section for `unsafe fn`), and unsafe-bearing crates missing
-`#![deny(unsafe_op_in_unsafe_fn)]` all fail CI (DESIGN.md §15).
-
-After moving or adding unsafe code, run
-`cargo run -p unsafe-lint -- --bless` to regenerate (prose carries over by
-file + kind), then fill in any `TODO` **and** write the in-source
-`// SAFETY:` comment — the lint checks that the row and the comment agree
-on location. This file is generated — free-form notes belong in DESIGN.md
-§15.
-
-";
 
 /// The [`lint_core::LintSpec`] wiring this lint into the shared CLI.
 pub fn spec() -> lint_core::LintSpec {
     lint_core::LintSpec {
         name: "unsafe-lint",
-        doc: "UNSAFETY.md",
-        scans: "unsafe sites",
-        sites_noun: "unsafe sites",
-        scan: scan_tree,
-        parse: parse_contract,
-        check,
-        bless,
+        about: "check that every unsafe site under crates/*/src has an adjacent `SAFETY:` comment and its crate denies unsafe_op_in_unsafe_fn",
+        run: |root| {
+            let t = check_tree(root)?;
+            Ok(lint_core::Report {
+                coverage: format!(
+                    "{} unsafe sites: {} with SAFETY comments, in {} crates checked for {DENY_ATTR}",
+                    t.sites,
+                    t.documented,
+                    t.crates.len()
+                ),
+                errors: t.errors,
+            })
+        },
     }
 }
 
@@ -287,101 +193,83 @@ pub unsafe fn frob(p: *mut u8, n: usize) {
     unsafe { *p = 1 };
 }
 
+// SAFETY: called once per value, on the pointer it was stored with.
 struct Y { f: unsafe fn(*mut u8) }
 // "unsafe" in a string is not a site:
 const S: &str = "unsafe { nope }";
 // unsafe { in a comment is not a site either
 "#;
 
+    fn check(text: &str) -> Tally {
+        let mut tally = Tally::default();
+        check_source("x.rs", text, &mut tally);
+        tally
+    }
+
     #[test]
     fn scanner_classifies_kinds_and_documentedness() {
-        let sites = scan_source("x.rs", SRC);
-        let got: Vec<(String, bool)> = sites
+        let got: Vec<String> = scan_source("x.rs", SRC)
             .iter()
-            .map(|s| (s.to_string(), s.meta == DOCUMENTED))
+            .map(|s| s.to_string())
             .collect();
         assert_eq!(
             got,
             [
-                ("x.rs:3 unsafe(impl)".to_string(), true),
-                ("x.rs:4 unsafe(impl)".to_string(), true), // stacked pair shares it
-                ("x.rs:10 unsafe(fn)".to_string(), true),   // doc # Safety section
-                ("x.rs:12 unsafe(block)".to_string(), true),
-                ("x.rs:13 unsafe(block)".to_string(), false),
-                ("x.rs:16 unsafe(fn-ptr)".to_string(), false),
+                "x.rs:3 unsafe(impl)",
+                "x.rs:4 unsafe(impl)", // stacked pair shares the comment
+                "x.rs:10 unsafe(fn)",  // doc # Safety section
+                "x.rs:12 unsafe(block)",
+                "x.rs:13 unsafe(block)",
+                "x.rs:17 unsafe(fn-ptr)",
             ]
         );
-    }
-
-    fn rows_for(sites: &[lint_core::Site], invariant: &str) -> Vec<lint_core::Row> {
-        sites
-            .iter()
-            .map(|s| lint_core::Row {
-                file: s.file.clone(),
-                line: s.line,
-                sig: s.sig.clone(),
-                prose: vec![invariant.to_string(), "-".to_string()],
-            })
-            .collect()
+        let t = check(SRC);
+        assert_eq!((t.sites, t.documented), (6, 5));
+        assert_eq!(t.errors.len(), 1, "{:?}", t.errors);
+        assert!(
+            t.errors[0].contains("x.rs:13 unsafe(block)"),
+            "{}",
+            t.errors[0]
+        );
     }
 
     #[test]
     fn undocumented_sites_and_todo_invariants_fail() {
-        let dir = std::env::temp_dir().join("unsafe-lint-test-empty");
-        std::fs::create_dir_all(dir.join("crates")).unwrap();
-        let sites = scan_source("x.rs", SRC); // not under crates/: no root rule
-        let rows = rows_for(&sites, "argued");
-        let errs = check(&dir, &sites, &rows);
-        // One undocumented site: the second block (the second impl of the
-        // stacked pair shares the pair's comment).
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs.iter().all(|e| e.contains("undocumented unsafe site")));
-        let errs = check(&dir, &sites, &rows_for(&sites, "TODO"));
-        assert_eq!(
-            errs.iter().filter(|e| e.contains("unargued unsafe site")).count(),
-            sites.len(),
-            "{errs:?}"
+        let t = check(&SRC.replace(
+            ": caller contract (see above) guarantees the range is live.",
+            ": TODO",
+        ));
+        assert_eq!(t.errors.len(), 2, "{:?}", t.errors);
+        assert!(t.errors.iter().any(|e| e.contains("unargued unsafe site")));
+        assert!(t
+            .errors
+            .iter()
+            .any(|e| e.contains("undocumented unsafe site")));
+        // A pointer type gets no exemption.
+        let t = check(&SRC.replace("// SAFETY: called once", "// called once"));
+        assert!(
+            t.errors
+                .iter()
+                .any(|e| e.contains("x.rs:17 unsafe(fn-ptr)")),
+            "{:?}",
+            t.errors
         );
     }
 
     #[test]
     fn missing_deny_attribute_fails_for_unsafe_bearing_crates() {
-        let dir = std::env::temp_dir().join("unsafe-lint-test-deny");
-        let src = dir.join("crates/demo/src");
-        std::fs::create_dir_all(&src).unwrap();
-        std::fs::write(src.join("lib.rs"), "pub fn ok() {}\n").unwrap();
-        let sites = vec![lint_core::Site {
-            file: "crates/demo/src/lib.rs".to_string(),
-            line: 1,
-            sig: "unsafe(block)".to_string(),
-            meta: DOCUMENTED.to_string(),
-        }];
-        let rows = rows_for(&sites, "argued");
-        let errs = check(&dir, &sites, &rows);
-        assert_eq!(errs.len(), 1, "{errs:?}");
-        assert!(errs[0].contains("missing #![deny(unsafe_op_in_unsafe_fn)]"));
-        std::fs::write(
-            src.join("lib.rs"),
-            "#![deny(unsafe_op_in_unsafe_fn)]\npub fn ok() {}\n",
-        )
-        .unwrap();
-        assert!(check(&dir, &sites, &rows).is_empty());
-    }
-
-    #[test]
-    fn bless_carries_invariants_and_marks_new_sites_todo() {
-        let sites = scan_source("crates/x/src/x.rs", SRC);
-        let old = vec![lint_core::Row {
-            file: "crates/x/src/x.rs".to_string(),
-            line: 1, // stale anchor: carried by (file, kind)
-            sig: "unsafe(fn)".to_string(),
-            prose: vec!["caller provides a live range".to_string(), "unit".to_string()],
-        }];
-        let doc = bless(&sites, &old);
-        let rows = parse_contract(&doc).unwrap();
-        assert_eq!(rows.len(), sites.len());
-        let f = rows.iter().find(|r| r.sig == "unsafe(fn)").unwrap();
-        assert_eq!(f.prose, ["caller provides a live range", "unit"]);
-        assert!(doc.contains("| TODO |"), "new sites land as TODO");
+        let err = check_crate_root("crates/demo", "pub fn ok() {}\n").expect("missing attr");
+        assert!(
+            err.contains("missing #![deny(unsafe_op_in_unsafe_fn)]"),
+            "{err}"
+        );
+        assert!(err.contains("crates/demo/src/lib.rs"), "{err}");
+        assert_eq!(
+            check_crate_root(
+                "crates/demo",
+                "#![deny(unsafe_op_in_unsafe_fn)]\npub fn ok() {}\n"
+            ),
+            None
+        );
     }
 }

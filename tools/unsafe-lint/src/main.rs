@@ -2,8 +2,7 @@
 //! 1 contract violations, 2 usage/IO error.
 //!
 //! ```text
-//! cargo run -p unsafe-lint              # check crates/*/src vs UNSAFETY.md
-//! cargo run -p unsafe-lint -- --bless   # regenerate UNSAFETY.md
+//! cargo run -p unsafe-lint   # check crates/*/src
 //! ```
 
 use std::process::ExitCode;

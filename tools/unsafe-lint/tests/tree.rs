@@ -1,12 +1,13 @@
-//! The unsafety contract against the real tree: the checked-in
-//! UNSAFETY.md must be clean, and the failure modes the CI gate exists
-//! for — an unsafe site with no contract row, a row with no invariant, a
-//! site with no adjacent `// SAFETY:` comment, and a drifted `file:line`
-//! anchor — must be demonstrably fatal, not theoretical.
+//! The unsafety contract against the real tree: the checked-in `SAFETY`
+//! comments must be clean, and the failure modes the CI gate exists for —
+//! a bare `unsafe {}`, an empty `SAFETY:`, a stripped safety comment, and
+//! a crate root without `#![deny(unsafe_op_in_unsafe_fn)]` — must be
+//! demonstrably fatal on real source text, not theoretical.
 
 use std::path::{Path, PathBuf};
+use unsafe_lint::{check_crate_root, check_source, check_tree, Tally, DENY_ATTR};
 
-fn workspace_root() -> PathBuf {
+fn root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -14,103 +15,82 @@ fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-fn real_tree() -> (PathBuf, Vec<lint_core::Site>, Vec<lint_core::Row>) {
-    let root = workspace_root();
-    let sites = unsafe_lint::scan_tree(&root).expect("scan crates/*/src");
-    let contract = std::fs::read_to_string(root.join("UNSAFETY.md")).expect("UNSAFETY.md");
-    let rows = unsafe_lint::parse_contract(&contract).expect("parse contract");
-    (root, sites, rows)
+const HAZARD: &str = "crates/hazard/src/lib.rs";
+
+fn hazard_errors(edit: impl Fn(&str) -> String) -> Vec<String> {
+    let text = std::fs::read_to_string(root().join(HAZARD)).expect(HAZARD);
+    let edited = edit(&text);
+    assert_ne!(edited, text, "the edit must change {HAZARD}");
+    let mut tally = Tally::default();
+    check_source(HAZARD, &edited, &mut tally);
+    tally.errors
 }
 
 #[test]
 fn checked_in_contract_is_clean() {
-    let (root, sites, rows) = real_tree();
+    let t = check_tree(&root()).expect("scan crates/*/src");
     assert!(
-        sites.len() > 100,
+        t.sites > 100,
         "scanner regression: only {} unsafe sites found",
-        sites.len()
+        t.sites
     );
-    let errors = unsafe_lint::check(&root, &sites, &rows);
-    assert!(errors.is_empty(), "unsafe-lint dirty:\n{}", errors.join("\n"));
+    assert_eq!(t.sites, t.documented);
+    assert!(
+        t.errors.is_empty(),
+        "unsafe-lint dirty:\n{}",
+        t.errors.join("\n")
+    );
 }
 
 #[test]
 fn injected_bare_unsafe_block_fails() {
-    let (root, mut sites, rows) = real_tree();
-    // The site an uncommented `unsafe {}` added without an UNSAFETY.md row
-    // would produce: unlisted AND undocumented.
-    sites.push(lint_core::Site {
-        file: "crates/core/src/lib.rs".to_string(),
-        line: 99_999,
-        sig: "unsafe(block)".to_string(),
-        meta: String::new(),
-    });
-    let errors = unsafe_lint::check(&root, &sites, &rows);
+    let errors = hazard_errors(|t| format!("{t}\nfn injected() {{\n    unsafe {{}}\n}}\n"));
+    assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(
-        errors.iter().any(|e| e.contains("unlisted unsafe site")),
-        "expected an unlisted-site error, got: {errors:?}"
-    );
-    assert!(
-        errors.iter().any(|e| e.contains("undocumented unsafe site")),
-        "expected an undocumented-site error, got: {errors:?}"
+        errors[0].contains("undocumented unsafe site"),
+        "{}",
+        errors[0]
     );
 }
 
 #[test]
 fn blanking_an_invariant_fails() {
-    let (root, sites, mut rows) = real_tree();
-    rows[0].prose[0] = "TODO".to_string();
-    let errors = unsafe_lint::check(&root, &sites, &rows);
-    assert!(
-        errors.iter().any(|e| e.contains("unargued unsafe site")),
-        "expected an unargued-site error, got: {errors:?}"
-    );
+    let errors = hazard_errors(|t| {
+        t.replacen(
+            "// SAFETY: unlinked (retire contract) and unprotected now.",
+            "// SAFETY:",
+            1,
+        )
+    });
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert!(errors[0].contains("unargued unsafe site"), "{}", errors[0]);
 }
 
 #[test]
 fn stripping_a_safety_comment_fails() {
-    let (root, mut sites, rows) = real_tree();
-    // Simulate a site whose adjacent `// SAFETY:` comment was deleted: the
-    // scanner would report it with empty meta instead of DOCUMENTED.
-    let site = sites
-        .iter_mut()
-        .find(|s| s.sig == "unsafe(block)")
-        .expect("tree has unsafe blocks");
-    site.meta = String::new();
-    let errors = unsafe_lint::check(&root, &sites, &rows);
+    let errors = hazard_errors(|t| {
+        t.replacen(
+            "// SAFETY: unlinked (retire contract) and unprotected now.",
+            "",
+            1,
+        )
+    });
+    assert_eq!(errors.len(), 1, "{errors:?}");
     assert!(
-        errors.iter().any(|e| e.contains("undocumented unsafe site")),
-        "expected an undocumented-site error, got: {errors:?}"
+        errors[0].contains("undocumented unsafe site"),
+        "{}",
+        errors[0]
     );
 }
 
 #[test]
-fn drifting_an_anchor_fails() {
-    let (root, sites, mut rows) = real_tree();
-    // Shift one row far out of place, as an edit that inserts lines would.
-    rows[0].line += 10_000;
-    let errors = unsafe_lint::check(&root, &sites, &rows);
+fn missing_deny_attribute_fails() {
+    let lib_rs = std::fs::read_to_string(root().join(HAZARD)).expect(HAZARD);
+    assert_eq!(check_crate_root("crates/hazard", &lib_rs), None);
+    let err = check_crate_root("crates/hazard", &lib_rs.replace(DENY_ATTR, ""))
+        .expect("the missing attribute must be reported");
     assert!(
-        errors.iter().any(|e| e.contains("drifted contract anchor")),
-        "expected a drifted-anchor error, got: {errors:?}"
+        err.contains("missing #![deny(unsafe_op_in_unsafe_fn)]"),
+        "{err}"
     );
-    assert!(
-        errors.iter().any(|e| e.contains("unlisted unsafe site")),
-        "the displaced site must surface as unlisted too, got: {errors:?}"
-    );
-}
-
-#[test]
-fn bless_roundtrip_is_stable_and_preserves_prose() {
-    let (root, sites, rows) = real_tree();
-    let doc = unsafe_lint::bless(&sites, &rows);
-    let reparsed = unsafe_lint::parse_contract(&doc).expect("blessed doc parses");
-    assert_eq!(reparsed.len(), sites.len());
-    // Bless over an already-clean tree is a fixpoint: no TODOs introduced,
-    // every row checks clean.
-    assert!(
-        !doc.contains("| TODO |"),
-        "bless must carry all invariants over on an unchanged tree"
-    );
-    assert!(unsafe_lint::check(&root, &sites, &reparsed).is_empty());
 }
