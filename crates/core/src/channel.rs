@@ -774,7 +774,24 @@ impl<T: Send> Sender<T> {
     /// Caveat: this endpoint's **first** operation acquires its thread
     /// slot and waits while all `max_threads` are taken (see [`bounded`]);
     /// once registered, `try_send` never waits.
+    #[inline]
     pub fn try_send(&mut self, v: T) -> Result<(), TrySendError<T>> {
+        // A registered topology endpoint is the inline lane (DESIGN.md
+        // §11): the closed flag, then its seated ring push. Every other
+        // case is one cold call.
+        let Some(Endpoint::Topo(h)) = &mut self.cache else {
+            return self.try_send_cold(v);
+        };
+        if h.sync_state().is_closed() {
+            return Err(TrySendError::Closed(v));
+        }
+        h.try_enqueue(v).map_err(TrySendError::Full)
+    }
+
+    /// [`Self::try_send`] off the topology lane: lazy acquisition and the
+    /// other backends.
+    #[cold]
+    fn try_send_cold(&mut self, v: T) -> Result<(), TrySendError<T>> {
         if self.shared.is_closed() {
             return Err(TrySendError::Closed(v));
         }
@@ -886,23 +903,45 @@ impl<T: Send> Receiver<T> {
     /// Caveat: this endpoint's **first** operation acquires its thread
     /// slot and waits while all `max_threads` are taken (see [`bounded`]);
     /// once registered, `try_recv` never waits.
+    #[inline]
     pub fn try_recv(&mut self) -> Result<T, TryRecvError> {
+        // A registered topology endpoint probes its lanes inline; the rest,
+        // and the Empty-versus-Closed verdict, are cold calls.
+        match &mut self.cache {
+            Some(Endpoint::Topo(h)) => match h.try_dequeue() {
+                Some(v) => Ok(v),
+                None => self.try_recv_empty(),
+            },
+            _ => self.try_recv_cold(),
+        }
+    }
+
+    /// [`Self::try_recv`] off the topology lane: lazy acquisition and the
+    /// other backends.
+    #[cold]
+    fn try_recv_cold(&mut self) -> Result<T, TryRecvError> {
         match self.endpoint().try_dequeue() {
             Some(v) => Ok(v),
-            None if self.shared.is_closed() => {
-                // Drain race: an insert may have landed between the probe
-                // and the close check.
-                match self.endpoint().try_dequeue() {
-                    Some(v) => Ok(v),
-                    // Ring residue stranded behind another endpoint's
-                    // consumer seat (DESIGN.md §11) is "empty for now",
-                    // not `Closed` — the values will surface once the
-                    // holder drains or drops.
-                    None if self.endpoint().residue_hint() => Err(TryRecvError::Empty),
-                    None => Err(TryRecvError::Closed),
-                }
-            }
-            None => Err(TryRecvError::Empty),
+            None => self.try_recv_empty(),
+        }
+    }
+
+    /// The verdict after a probe found nothing: `Empty` while the channel
+    /// is open, else one more probe.
+    #[cold]
+    fn try_recv_empty(&mut self) -> Result<T, TryRecvError> {
+        if !self.shared.is_closed() {
+            return Err(TryRecvError::Empty);
+        }
+        // Drain race: an insert may have landed between the probe and the
+        // close check.
+        match self.endpoint().try_dequeue() {
+            Some(v) => Ok(v),
+            // Ring residue stranded behind another endpoint's consumer seat
+            // (DESIGN.md §11) is "empty for now", not `Closed` — the values
+            // will surface once the holder drains or drops.
+            None if self.endpoint().residue_hint() => Err(TryRecvError::Empty),
+            None => Err(TryRecvError::Closed),
         }
     }
 
@@ -968,7 +1007,18 @@ impl<T: Send> Receiver<T> {
     /// Batch receive: appends up to `max` elements to `out` in queue order
     /// and returns how many were appended (0 means observed empty —
     /// check [`Self::is_closed`] to distinguish "for now" from "forever").
+    #[inline]
     pub fn recv_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        // Inline on a registered topology endpoint, as in `try_recv`.
+        match &mut self.cache {
+            Some(Endpoint::Topo(h)) => h.dequeue_batch(out, max),
+            _ => self.recv_batch_cold(out, max),
+        }
+    }
+
+    /// [`Self::recv_batch`] off the topology lane.
+    #[cold]
+    fn recv_batch_cold(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         self.endpoint().dequeue_batch(out, max)
     }
 

@@ -176,6 +176,7 @@ impl<T: Send> TopoCore<T> {
     }
 
     /// `true` once the wCQ spine lane has been grafted on.
+    #[inline]
     pub fn upgraded(&self) -> bool {
         // ORDERING: seat-table read: observes the seat holder's publication;
         // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
@@ -329,10 +330,17 @@ impl<T: Send> TopoEndpoint<T> {
         }
     }
 
+    /// Whether this endpoint holds the consumer seat, claiming it if it
+    /// is free: the seat test is inline, the claim is cold (a seated
+    /// consumer never reaches it).
+    #[inline]
     fn claim_consumer(&mut self) -> bool {
-        if !self.has_cons_seat {
-            self.has_cons_seat = self.core.claim_cons_seat();
-        }
+        self.has_cons_seat || self.claim_consumer_cold()
+    }
+
+    #[cold]
+    fn claim_consumer_cold(&mut self) -> bool {
+        self.has_cons_seat = self.core.claim_cons_seat();
         self.has_cons_seat
     }
 
@@ -366,17 +374,22 @@ impl<T: Send> TopoEndpoint<T> {
     /// private ring, or the spine — is full. A seated producer's ring
     /// filling up reports full even if the spine exists: its elements may
     /// not change lanes.
+    ///
+    /// The seated lane is inline: the ring push plus one notify probe.
+    /// Everything else is one cold call: the seat claim or graft on the
+    /// first enqueue, and every enqueue of a spine producer.
+    #[inline]
     pub fn try_enqueue(&mut self, v: T) -> Result<(), T> {
+        match self.prod_path {
+            ProdPath::Ring(seat) => self.push_ring(seat, v),
+            _ => self.try_enqueue_cold(v),
+        }
+    }
+
+    #[cold]
+    fn try_enqueue_cold(&mut self, v: T) -> Result<(), T> {
         match self.prod_seat() {
-            Some(seat) => {
-                // SAFETY: the claimed seat makes this endpoint the unique
-                // producer of `rings[seat]` until it drops.
-                let r = unsafe { self.core.rings[seat].push(v) };
-                if r.is_ok() {
-                    self.core.notify_ring_push(seat);
-                }
-                r
-            }
+            Some(seat) => self.push_ring(seat, v),
             None => {
                 let r = self.spine_handle().enqueue(v);
                 if r.is_ok() {
@@ -387,9 +400,25 @@ impl<T: Send> TopoEndpoint<T> {
         }
     }
 
+    /// Pushes onto this endpoint's ring `seat` and advertises the push:
+    /// the one copy of the ring lane's enqueue. Only called with the seat
+    /// `prod_path` holds.
+    #[inline]
+    fn push_ring(&self, seat: usize, v: T) -> Result<(), T> {
+        // SAFETY: the claimed seat makes this endpoint the unique
+        // producer of `rings[seat]` until it drops.
+        let r = unsafe { self.core.rings[seat].push(v) };
+        if r.is_ok() {
+            self.core.notify_ring_push(seat);
+        }
+        r
+    }
+
     /// Non-blocking dequeue; `None` when every lane this endpoint can see
     /// is observed empty (the rings require the consumer seat — see the
-    /// module docs on out-of-declaration receivers).
+    /// module docs on out-of-declaration receivers). Inline up to the
+    /// spine lane, which is a cold call.
+    #[inline]
     pub fn try_dequeue(&mut self) -> Option<T> {
         if self.claim_consumer() {
             let n = self.core.rings.len();
@@ -408,16 +437,19 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
-        // ORDERING: seat-table read: observes the seat holder's publication;
-        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
-        if self.core.mode.load(Acquire) == SPINE {
-            let v = self.spine_handle().dequeue();
-            if v.is_some() {
-                self.core.sync.notify_not_full();
-            }
-            return v;
+        if self.core.upgraded() {
+            return self.spine_dequeue();
         }
         None
+    }
+
+    #[cold]
+    fn spine_dequeue(&mut self) -> Option<T> {
+        let v = self.spine_handle().dequeue();
+        if v.is_some() {
+            self.core.sync.notify_not_full();
+        }
+        v
     }
 
     /// `true` while the rings hold elements this endpoint cannot sweep
@@ -491,7 +523,9 @@ impl<T: Send> TopoEndpoint<T> {
 
     /// Batch dequeue: sweeps the rings once from the cursor, then tops up
     /// from the spine lane, appending up to `max` elements to `out`;
-    /// returns how many were appended.
+    /// returns how many were appended. Inline up to the spine top-up,
+    /// which is a cold call.
+    #[inline]
     pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -516,10 +550,8 @@ impl<T: Send> TopoEndpoint<T> {
                 }
             }
         }
-        // ORDERING: seat-table read: observes the seat holder's publication;
-        // pairs with the SeqCst seat claim/store. Cover: dst models 4, 6.
-        if got < max && self.core.mode.load(Acquire) == SPINE {
-            got += self.spine_handle().dequeue_batch(out, max - got);
+        if got < max && self.core.upgraded() {
+            got += self.spine_dequeue_batch(out, max - got);
         }
         if got > 0 {
             // Fenced covers the ring pops; the spine pops would not need
@@ -527,6 +559,11 @@ impl<T: Send> TopoEndpoint<T> {
             self.core.sync.notify_not_full_fenced();
         }
         got
+    }
+
+    #[cold]
+    fn spine_dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        self.spine_handle().dequeue_batch(out, max)
     }
 }
 

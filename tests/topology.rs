@@ -6,7 +6,7 @@
 //! wCQ spine without losing or duplicating a single element.
 
 use std::time::Duration;
-use wcq::channel::{self, TryRecvError, TrySendError};
+use wcq::channel::{self, Receiver, Sender, TryRecvError, TrySendError};
 use wcq::sync::{block_on, RecvError};
 
 #[test]
@@ -219,4 +219,80 @@ fn blocking_excess_receiver_inherits_residue() {
     std::thread::sleep(Duration::from_millis(20));
     drop(rx); // hand over the seat
     assert_eq!(waiter.join().unwrap(), Ok(8));
+}
+
+type Make = fn() -> (Sender<u64>, Receiver<u64>);
+
+/// The never-grafted topology constructors, each with the backend label
+/// it must keep: `spsc` (one ring) and `mpsc` (two sender rings).
+fn never_grafted() -> [(Make, &'static str); 2] {
+    [
+        (|| channel::spsc::<u64>(4, 4), "spsc-ring"),
+        (|| channel::mpsc::<u64>(4, 2, 4), "mpsc-rings"),
+    ]
+}
+
+/// A seated sender's `try_send` is an inline ring push, but it still reads
+/// the closed flag on every call: once the last receiver drops, a ring
+/// with room refuses the value, and `send_batch` takes nothing.
+#[test]
+fn seated_sender_sees_close_with_room_in_its_ring() {
+    for (make, backend) in never_grafted() {
+        let (mut tx, mut rx) = make();
+        tx.try_send(1).unwrap(); // claims a ring seat
+        assert_eq!(rx.try_recv(), Ok(1)); // claims the consumer seat
+        tx.try_send(2).unwrap();
+        drop(rx); // the last receiver: close, with 15 free slots
+        assert_eq!(tx.try_send(3), Err(TrySendError::Closed(3)), "{backend}");
+        let mut batch = vec![4, 5, 6];
+        assert_eq!(tx.send_batch(&mut batch), 0, "{backend}");
+        assert_eq!(batch, vec![4, 5, 6], "{backend}: values conserved");
+        assert_eq!(tx.backend(), backend);
+    }
+}
+
+/// A sender that takes over a dropped sender's seat appends after the
+/// residue in its ring: the lane resolved at the seat claim dies with
+/// the seat, and the successor resolves the same ring afresh.
+#[test]
+fn successor_sender_appends_after_the_residue() {
+    for (make, backend) in never_grafted() {
+        let (tx, mut rx) = make();
+        let mut first = tx.clone();
+        for v in 0..3 {
+            first.try_send(v).unwrap();
+        }
+        drop(first); // seat released, 0..3 still in the ring
+        let mut next = tx.clone();
+        for v in 3..6 {
+            next.try_send(v).unwrap();
+        }
+        let mut out = Vec::new();
+        assert_eq!(rx.recv_batch(&mut out, 16), 6, "{backend}");
+        assert_eq!(out, (0..6).collect::<Vec<_>>(), "{backend}");
+        assert_eq!(rx.backend(), backend, "no graft");
+    }
+}
+
+/// A receiver clone that inherits the consumer seat drains the residue
+/// its predecessor left, and only then reports `Closed`.
+#[test]
+fn inheriting_receiver_drains_residue_before_closed() {
+    for (make, backend) in never_grafted() {
+        let (mut tx, mut rx) = make();
+        for v in 0..4 {
+            tx.try_send(v).unwrap();
+        }
+        assert_eq!(rx.try_recv(), Ok(0)); // claims the consumer seat
+        let mut heir = rx.clone();
+        drop(rx); // seat released, 1..4 still in the ring
+        drop(tx); // the last sender: close
+        assert_eq!(heir.try_recv(), Ok(1), "{backend}");
+        let mut out = Vec::new();
+        assert_eq!(heir.recv_batch(&mut out, 16), 2, "{backend}");
+        assert_eq!(out, vec![2, 3], "{backend}");
+        assert_eq!(heir.try_recv(), Err(TryRecvError::Closed), "{backend}");
+        assert_eq!(heir.recv(), Err(RecvError::Closed), "{backend}");
+        assert_eq!(heir.backend(), backend, "no graft");
+    }
 }
