@@ -32,6 +32,7 @@ use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::queue::{acquire_slot, WcqQueue};
 use crate::WcqConfig;
 use crate::sim::AtomicBool;
+use std::ops::Deref;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
@@ -119,28 +120,24 @@ impl<T> ShardedWcq<T> {
     /// Registers the calling thread; its enqueue affinity is
     /// `tid mod shards`. `None` when all `max_threads` slots are taken.
     pub fn register(&self) -> Option<ShardedHandle<'_, T>> {
-        let tid = self.claim_slot()?;
-        let affinity = tid & (self.shards.len() - 1);
-        Some(ShardedHandle {
-            q: self,
-            tid,
-            affinity,
-            cursor: affinity,
-        })
+        Handle::claim(&self)
     }
 
-    /// Registers the calling thread on an `Arc`-owned queue; the owning
-    /// twin of [`Self::register`] (see [`crate::OwnedWcqHandle`] for the
-    /// pattern). The handle moves freely into `'static` spawned threads.
+    /// Registers the calling thread on an `Arc`-owned queue, returning an
+    /// [`OwnedShardedHandle`] that keeps the queue alive, so it moves
+    /// freely into `'static` spawned threads.
+    ///
+    /// # Example
+    /// ```
+    /// use std::sync::Arc;
+    /// use wcq::shard::ShardedWcq;
+    /// let q: Arc<ShardedWcq<u64>> = Arc::new(ShardedWcq::new(2, 4, 2));
+    /// let mut h = q.register_owned().unwrap();
+    /// std::thread::spawn(move || h.enqueue(7).unwrap()).join().unwrap();
+    /// assert_eq!(q.register_owned().unwrap().dequeue(), Some(7));
+    /// ```
     pub fn register_owned(self: &Arc<Self>) -> Option<OwnedShardedHandle<T>> {
-        let tid = self.claim_slot()?;
-        let affinity = tid & (self.shards.len() - 1);
-        Some(OwnedShardedHandle {
-            q: Arc::clone(self),
-            tid,
-            affinity,
-            cursor: affinity,
-        })
+        Handle::claim(self)
     }
 
     /// Claims a free global thread slot, asserting (debug builds) that the
@@ -167,117 +164,116 @@ impl<T> ShardedWcq<T> {
         }
         self.slots[tid].store(false, SeqCst);
     }
+}
 
-    // ---- shared per-tid operations (both handle flavors) ---------------
-    //
-    // Exclusivity contract: `tid` came from `claim_slot` and is driven by
-    // exactly one handle at a time (handles are !Sync with &mut methods),
-    // which is what the shards' raw thread-id API requires.
+/// A per-thread handle to a [`ShardedWcq`], generic over how it holds the
+/// queue: `Q` is `&'q ShardedWcq<T>` for a [`ShardedHandle`] or
+/// `Arc<ShardedWcq<T>>` for an [`OwnedShardedHandle`] (see
+/// [`crate::wcq::queue::Handle`] for the pattern).
+///
+/// Like the [`crate::WcqQueue`] handle, it is `Send` but not `Clone` and
+/// its methods take `&mut self`: it drives one thread id exclusively —
+/// here, across every shard at once. That exclusivity is what the shards'
+/// raw thread-id API requires, and it is the contract every `unsafe` call
+/// below relies on: `tid` came from `claim_slot` and only this handle
+/// drives it.
+pub struct Handle<T, Q: Deref<Target = ShardedWcq<T>>> {
+    q: Q,
+    tid: usize,
+    affinity: usize,
+    /// Next shard to try first on dequeue; sticks to the last hit.
+    cursor: usize,
+}
 
-    fn enqueue_tid(&self, tid: usize, affinity: usize, v: T) -> Result<(), T> {
-        // SAFETY: exclusivity contract above.
-        let r = unsafe { self.shards[affinity].enqueue_raw(tid, v) };
+/// A handle that borrows its queue; see [`Handle`].
+pub type ShardedHandle<'q, T> = Handle<T, &'q ShardedWcq<T>>;
+/// A handle that owns a share of its queue; see [`Handle`].
+pub type OwnedShardedHandle<T> = Handle<T, Arc<ShardedWcq<T>>>;
+
+impl<T, Q: Deref<Target = ShardedWcq<T>>> Handle<T, Q> {
+    /// Binds a free global thread slot of `q`, taking a copy of `q` only
+    /// once a slot is won; `None` when all are taken.
+    fn claim(q: &Q) -> Option<Self>
+    where
+        Q: Clone,
+    {
+        let tid = q.claim_slot()?;
+        let affinity = tid & (q.shards.len() - 1);
+        Some(Handle {
+            q: q.clone(),
+            tid,
+            affinity,
+            cursor: affinity,
+        })
+    }
+
+    /// Wait-free enqueue into this handle's affinity shard. `Err(v)` when
+    /// that shard is full (values never spill to other shards — spilling
+    /// would break per-producer FIFO).
+    #[inline]
+    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
+        // SAFETY: exclusivity contract (type docs).
+        let r = unsafe { self.q.shards[self.affinity].enqueue_raw(self.tid, v) };
         if r.is_ok() {
             // Blocking consumers park on the sharded-level state; the raw
             // path deliberately skips the shard's own (always waiter-less)
             // parking state.
-            self.sync.notify_not_empty();
+            self.q.sync.notify_not_empty();
         }
         r
     }
 
-    fn enqueue_batch_tid(&self, tid: usize, affinity: usize, items: &mut Vec<T>) -> usize {
-        // SAFETY: exclusivity contract above.
-        let n = unsafe { self.shards[affinity].enqueue_batch_raw(tid, items) };
+    /// Batch enqueue into the affinity shard; semantics of
+    /// [`crate::wcq::queue::Handle::enqueue_batch`].
+    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
+        // SAFETY: exclusivity contract (type docs).
+        let n = unsafe { self.q.shards[self.affinity].enqueue_batch_raw(self.tid, items) };
         if n > 0 {
-            self.sync.notify_not_empty();
+            self.q.sync.notify_not_empty();
         }
         n
     }
 
-    fn dequeue_tid(&self, tid: usize, cursor: &mut usize) -> Option<T> {
-        let s = self.shards.len();
+    /// Dequeue, visiting every shard (starting at the sticky cursor) before
+    /// reporting empty. Each shard miss costs its O(1) threshold probe.
+    pub fn dequeue(&mut self) -> Option<T> {
+        let s = self.q.shards.len();
         for i in 0..s {
-            let shard = (*cursor + i) & (s - 1);
-            // SAFETY: exclusivity contract above.
-            if let Some(v) = unsafe { self.shards[shard].dequeue_raw(tid) } {
-                *cursor = shard;
-                self.sync.notify_not_full();
+            let shard = (self.cursor + i) & (s - 1);
+            // SAFETY: exclusivity contract (type docs).
+            if let Some(v) = unsafe { self.q.shards[shard].dequeue_raw(self.tid) } {
+                self.cursor = shard;
+                self.q.sync.notify_not_full();
                 return Some(v);
             }
         }
         None
     }
 
-    fn dequeue_batch_tid(
-        &self,
-        tid: usize,
-        cursor: &mut usize,
-        out: &mut Vec<T>,
-        max: usize,
-    ) -> usize {
-        let s = self.shards.len();
-        let start = *cursor; // the sweep base must not move mid-sweep
+    /// Batch dequeue: appends up to `max` elements to `out`, draining
+    /// shards in cursor rotation; returns how many were appended (0 means
+    /// every shard was observed empty).
+    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
+        let s = self.q.shards.len();
+        let start = self.cursor; // the sweep base must not move mid-sweep
         let mut total = 0;
         for i in 0..s {
             if total >= max {
                 break;
             }
             let shard = (start + i) & (s - 1);
-            // SAFETY: exclusivity contract above.
-            let got = unsafe { self.shards[shard].dequeue_batch_raw(tid, out, max - total) };
+            // SAFETY: exclusivity contract (type docs).
+            let got = unsafe { self.q.shards[shard].dequeue_batch_raw(self.tid, out, max - total) };
             if got > 0 {
-                *cursor = shard;
+                self.cursor = shard;
                 total += got;
             }
         }
         if total > 0 {
-            self.sync.notify_not_full();
+            self.q.sync.notify_not_full();
         }
         total
     }
-}
-
-/// A per-thread handle to a [`ShardedWcq`].
-///
-/// Like [`crate::WcqHandle`], a handle is `Send` but not `Sync`/`Clone` and
-/// its methods take `&mut self`: it drives one thread id exclusively —
-/// here, across every shard at once.
-pub struct ShardedHandle<'q, T> {
-    q: &'q ShardedWcq<T>,
-    tid: usize,
-    affinity: usize,
-    /// Next shard to try first on dequeue; sticks to the last hit.
-    cursor: usize,
-}
-
-impl<'q, T> ShardedHandle<'q, T> {
-    /// Wait-free enqueue into this handle's affinity shard. `Err(v)` when
-    /// that shard is full (values never spill to other shards — spilling
-    /// would break per-producer FIFO).
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, self.affinity, v)
-    }
-
-    /// Batch enqueue into the affinity shard; semantics of
-    /// [`crate::WcqHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, self.affinity, items)
-    }
-
-    /// Dequeue, visiting every shard (starting at the sticky cursor) before
-    /// reporting empty. Each shard miss costs its O(1) threshold probe.
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.cursor)
-    }
-
-    /// Batch dequeue: appends up to `max` elements to `out`, draining
-    /// shards in cursor rotation; returns how many were appended (0 means
-    /// every shard was observed empty).
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.cursor, out, max)
-    }
 
     /// The thread slot this handle occupies (diagnostics).
     pub fn tid(&self) -> usize {
@@ -288,97 +284,18 @@ impl<'q, T> ShardedHandle<'q, T> {
     pub fn affinity(&self) -> usize {
         self.affinity
     }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &'q ShardedWcq<T> {
-        self.q
-    }
 }
 
-impl<T> Drop for ShardedHandle<'_, T> {
+impl<T, Q: Deref<Target = ShardedWcq<T>>> Drop for Handle<T, Q> {
     fn drop(&mut self) {
         self.q.release_slot(self.tid);
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`ShardedWcq`] — the
-/// [`crate::OwnedWcqHandle`] pattern applied to the sharded front-end.
-/// Obtained from [`ShardedWcq::register_owned`].
-pub struct OwnedShardedHandle<T> {
-    q: Arc<ShardedWcq<T>>,
-    tid: usize,
-    affinity: usize,
-    /// Next shard to try first on dequeue; sticks to the last hit.
-    cursor: usize,
-}
-
-impl<T> OwnedShardedHandle<T> {
-    /// Wait-free enqueue into this handle's affinity shard; see
-    /// [`ShardedHandle::enqueue`].
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, self.affinity, v)
-    }
-
-    /// Batch enqueue into the affinity shard; see
-    /// [`ShardedHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, self.affinity, items)
-    }
-
-    /// Rotating dequeue; see [`ShardedHandle::dequeue`].
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.cursor)
-    }
-
-    /// Rotating batch dequeue; see [`ShardedHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.cursor, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The shard this handle enqueues into.
-    pub fn affinity(&self) -> usize {
-        self.affinity
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<ShardedWcq<T>> {
-        &self.q
-    }
-}
-
-impl<T> Drop for OwnedShardedHandle<T> {
-    fn drop(&mut self) {
-        self.q.release_slot(self.tid);
-    }
-}
-
-/// Blocking/async facade; see the [`ShardedHandle`] impl.
-impl<T> SyncQueue for OwnedShardedHandle<T> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
     }
 }
 
 /// Blocking/async facade over the sharded queue: parked enqueuers wake on
 /// any shard's dequeue (then retry their own affinity shard), parked
 /// dequeuers wake on any enqueue (their sweep visits every shard).
-impl<T> SyncQueue for ShardedHandle<'_, T> {
+impl<T, Q: Deref<Target = ShardedWcq<T>>> SyncQueue for Handle<T, Q> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {

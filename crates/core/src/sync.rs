@@ -12,8 +12,8 @@
 //!
 //! The entry points live on the [`SyncQueue`] trait, implemented by
 //! [`crate::WcqHandle`], [`crate::ShardedHandle`], and
-//! [`crate::UnboundedHandle`] (and their owned twins, which also back the
-//! [`crate::channel`] endpoints — there the `close()` below is driven
+//! [`crate::UnboundedHandle`] (and their `Arc`-owned forms, which also back
+//! the [`crate::channel`] endpoints — there the `close()` below is driven
 //! automatically by sender/receiver refcounts):
 //!
 //! * [`SyncQueue::enqueue_blocking`] / [`SyncQueue::dequeue_blocking`] —
@@ -656,8 +656,8 @@ pub(crate) fn waiter_barrier() {
 /// [`SyncQueue::sync_state`].
 ///
 /// Layout: the two eventcounts are cache-padded apart. Every successful
-/// enqueue loads `not_empty.nwaiters` and every successful dequeue loads
-/// `not_full.nwaiters`; unpadded, those two hot words share a line (and
+/// enqueue loads `not_empty.waiting` and every successful dequeue loads
+/// `not_full.waiting`; unpadded, those two hot words share a line (and
 /// the adjacent-line prefetcher pairs even neighboring lines), so each
 /// side's `notify_slow` stores would invalidate the other side's per-op
 /// check — false sharing on the one field the facade touches per element
@@ -804,8 +804,11 @@ impl std::error::Error for RecvError {}
 /// are provided methods sharing one parking protocol (module docs).
 ///
 /// Implemented by [`crate::WcqHandle`], [`crate::ShardedHandle`], and
-/// [`crate::UnboundedHandle`] (whose `try_enqueue` never fails — the list
-/// grows instead, so its blocking enqueue only parks when closed… never).
+/// [`crate::UnboundedHandle`], each in its borrowed and `Arc`-owned form.
+/// The unbounded handle's `try_enqueue` never fails (the list grows
+/// instead), so its blocking enqueue never parks: it succeeds on the first
+/// attempt, or fails at once with [`SendError::Closed`] once the queue is
+/// closed.
 pub trait SyncQueue {
     /// Element type.
     type Item;

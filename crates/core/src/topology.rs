@@ -344,26 +344,21 @@ impl<T: Send> TopoEndpoint<T> {
         self.has_cons_seat
     }
 
-    /// Registers on the spine, waiting (spin, then yield) while all of its
-    /// `max_threads` slots are taken — the same contract as the channel's
-    /// lazy slot acquisition on the other backends.
+    /// Registers on the spine, waiting while all of its `max_threads`
+    /// slots are taken — the same contract and the same `Backoff` wait as
+    /// the channel's lazy slot acquisition on the other backends.
     fn spine_handle(&mut self) -> &mut OwnedWcqHandle<T> {
         if self.spine.is_none() {
             let spine = self.core.spine.get().expect("mode SPINE implies spine");
-            let mut spins = 0u32;
+            let mut backoff = crate::sync::Backoff::new();
             // BOUND(wait-edge): spine slot register retry: waits for a peer
-            // handle to drop a slot; spins then yields. Cover:
-            // tests/topology.rs.
+            // handle to drop a slot; paced by Backoff (adaptive spin-then-
+            // yield). Cover: tests/topology.rs.
             let h = loop {
                 if let Some(h) = spine.register_owned() {
                     break h;
                 }
-                spins += 1;
-                if spins <= 64 {
-                    crate::sim::spin_loop();
-                } else {
-                    crate::sim::yield_now();
-                }
+                backoff.snooze();
             };
             self.spine = Some(h);
         }

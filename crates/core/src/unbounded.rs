@@ -64,6 +64,7 @@
 use crate::sync::{SyncQueue, SyncState};
 use crate::{ScqQueue, WcqConfig, WcqQueue};
 use hazard::{Domain, HpHandle};
+use std::ops::Deref;
 use std::ptr;
 use crate::sim::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 use std::sync::atomic::Ordering::SeqCst;
@@ -360,28 +361,24 @@ impl<T: Send, R: InnerRing<T>> Unbounded<T, R> {
     /// Registers the calling thread. The hazard-domain slot index doubles
     /// as the ring thread id, so a single registration covers both.
     pub fn register(&self) -> Option<UnboundedHandle<'_, T, R>> {
-        let hp = self.domain.register()?;
-        let tid = hp.idx();
-        Some(UnboundedHandle { q: self, hp, tid })
+        Handle::claim(&self)
     }
 
-    /// Registers the calling thread on an `Arc`-owned queue; the owning
-    /// twin of [`Self::register`] (see [`crate::OwnedWcqHandle`] for the
-    /// pattern). The handle moves freely into `'static` spawned threads.
+    /// Registers the calling thread on an `Arc`-owned queue, returning an
+    /// [`OwnedUnboundedHandle`] that keeps the queue alive, so it moves
+    /// freely into `'static` spawned threads.
+    ///
+    /// # Example
+    /// ```
+    /// use std::sync::Arc;
+    /// use wcq::UnboundedWcq;
+    /// let q: Arc<UnboundedWcq<u64>> = Arc::new(UnboundedWcq::new(3, 2));
+    /// let mut h = q.register_owned().unwrap();
+    /// std::thread::spawn(move || h.enqueue(7)).join().unwrap();
+    /// assert_eq!(q.register_owned().unwrap().dequeue(), Some(7));
+    /// ```
     pub fn register_owned(self: &Arc<Self>) -> Option<OwnedUnboundedHandle<T, R>> {
-        let hp = self.domain.register()?;
-        let tid = hp.idx();
-        // SAFETY: the hazard handle borrows `self.domain`, which lives on
-        // the heap inside the `Arc` the returned handle also owns, so the
-        // borrow outlives the handle; `OwnedUnboundedHandle` declares `hp`
-        // before `q` so the lifetime-erased handle drops strictly before
-        // the `Arc` that keeps the domain alive.
-        let hp: HpHandle<'static> = unsafe { std::mem::transmute::<HpHandle<'_>, _>(hp) };
-        Some(OwnedUnboundedHandle {
-            hp,
-            tid,
-            q: Arc::clone(self),
-        })
+        Handle::claim(self)
     }
 
     /// If `node` (the ring at `ltail`) has a successor, helps `tail` over
@@ -696,18 +693,30 @@ impl<T, R: InnerRing<T>> Drop for Unbounded<T, R> {
     }
 }
 
-/// Per-thread handle to an [`Unbounded`] queue. Carries the thread's
+/// Per-thread handle to an [`Unbounded`] queue, generic over how it holds
+/// the queue: `Q` is `&'q Unbounded<T, R>` for an [`UnboundedHandle`] or
+/// `Arc<Unbounded<T, R>>` for an [`OwnedUnboundedHandle`] (see
+/// [`crate::wcq::queue::Handle`] for the pattern). Carries the thread's
 /// hazard pointers; dropping it quiesces the reachable rings' helping
 /// records (see [`Unbounded`]'s module docs), releases both the hazard
 /// slots and the ring thread id, and hands any still-protected retired
 /// rings to the domain's orphan list.
-pub struct UnboundedHandle<'q, T, R: InnerRing<T>> {
-    q: &'q Unbounded<T, R>,
-    hp: HpHandle<'q>,
+pub struct Handle<T, R: InnerRing<T>, Q: Deref<Target = Unbounded<T, R>>> {
+    /// Lifetime-erased hazard handle; its true borrow is of `q`'s domain.
+    /// MUST stay declared before `q`: fields drop in declaration order, so
+    /// the hazard handle (which touches the domain in its destructor)
+    /// drops while `q` still keeps the domain alive.
+    hp: HpHandle<'static>,
     tid: usize,
+    q: Q,
 }
 
-impl<T, R: InnerRing<T>> Drop for UnboundedHandle<'_, T, R> {
+/// A handle that borrows its queue; see [`Handle`].
+pub type UnboundedHandle<'q, T, R> = Handle<T, R, &'q Unbounded<T, R>>;
+/// A handle that owns a share of its queue; see [`Handle`].
+pub type OwnedUnboundedHandle<T, R> = Handle<T, R, Arc<Unbounded<T, R>>>;
+
+impl<T, R: InnerRing<T>, Q: Deref<Target = Unbounded<T, R>>> Drop for Handle<T, R, Q> {
     fn drop(&mut self) {
         // Quiesce before the hazard handle (dropped right after this body)
         // releases the domain slot: the slot index doubles as the ring
@@ -717,7 +726,30 @@ impl<T, R: InnerRing<T>> Drop for UnboundedHandle<'_, T, R> {
     }
 }
 
-impl<T: Send, R: InnerRing<T>> UnboundedHandle<'_, T, R> {
+impl<T: Send, R: InnerRing<T>, Q: Deref<Target = Unbounded<T, R>>> Handle<T, R, Q> {
+    /// Registers on `q`'s hazard domain, taking a copy of `q` only once a
+    /// slot is won; `None` when all are taken.
+    fn claim(q: &Q) -> Option<Self>
+    where
+        Q: Clone,
+    {
+        let hp = q.domain.register()?;
+        let tid = hp.idx();
+        // SAFETY: the hazard handle borrows `q`'s domain, and the returned
+        // handle stores a copy of `q` — the `&'q` borrow or the `Arc` —
+        // which keeps that domain alive and in place for the handle's whole
+        // life: a shared borrow pins its referent, and an `Arc`'s value
+        // sits on the heap, unmoved by moving the `Arc`. These are the only
+        // two `Q`s this private constructor is called with. `hp` is
+        // declared before `q`, so the lifetime-erased handle drops first.
+        let hp: HpHandle<'static> = unsafe { std::mem::transmute::<HpHandle<'_>, _>(hp) };
+        Some(Handle {
+            hp,
+            tid,
+            q: q.clone(),
+        })
+    }
+
     /// Enqueues `v`; never fails (capacity grows by appending rings).
     pub fn enqueue(&mut self, v: T) {
         self.q.enqueue_tid(self.tid, &self.hp, v)
@@ -769,78 +801,7 @@ impl<T: Send, R: InnerRing<T>> UnboundedHandle<'_, T, R> {
 /// Blocking/async facade: only the dequeue side ever parks — `try_enqueue`
 /// cannot fail (the list grows), so a blocking enqueue completes on its
 /// first attempt unless the queue is closed.
-impl<T: Send, R: InnerRing<T>> SyncQueue for UnboundedHandle<'_, T, R> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.enqueue(v);
-        Ok(())
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.dequeue()
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`Unbounded`] queue —
-/// the [`crate::OwnedWcqHandle`] pattern applied to the list-of-rings.
-/// Obtained from [`Unbounded::register_owned`].
-pub struct OwnedUnboundedHandle<T, R: InnerRing<T>> {
-    /// Lifetime-erased hazard handle; its true borrow is of `q`'s domain.
-    /// MUST stay declared before `q`: fields drop in declaration order, so
-    /// the hazard handle (which touches the domain in its destructor)
-    /// drops while the `Arc` still keeps the domain alive.
-    hp: HpHandle<'static>,
-    tid: usize,
-    q: Arc<Unbounded<T, R>>,
-}
-
-impl<T: Send, R: InnerRing<T>> OwnedUnboundedHandle<T, R> {
-    /// Enqueues `v`; never fails (capacity grows by appending rings).
-    pub fn enqueue(&mut self, v: T) {
-        self.q.enqueue_tid(self.tid, &self.hp, v)
-    }
-
-    /// Dequeues; `None` when empty.
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid, &mut self.hp)
-    }
-
-    /// Batch enqueue; see [`UnboundedHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, &self.hp, items)
-    }
-
-    /// Batch dequeue; see [`UnboundedHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, &mut self.hp, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<Unbounded<T, R>> {
-        &self.q
-    }
-}
-
-impl<T, R: InnerRing<T>> Drop for OwnedUnboundedHandle<T, R> {
-    fn drop(&mut self) {
-        // As for the borrowed handle: quiesce before the hazard handle's
-        // own destructor releases the shared slot.
-        self.q.quiesce_tid(self.tid, &self.hp);
-    }
-}
-
-/// Blocking/async facade; see the [`UnboundedHandle`] impl.
-impl<T: Send, R: InnerRing<T>> SyncQueue for OwnedUnboundedHandle<T, R> {
+impl<T: Send, R: InnerRing<T>, Q: Deref<Target = Unbounded<T, R>>> SyncQueue for Handle<T, R, Q> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {

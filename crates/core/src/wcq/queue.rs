@@ -6,6 +6,7 @@ use crate::sync::{SyncQueue, SyncState};
 use crate::wcq::ring::WcqRing;
 use crate::WcqConfig;
 use std::mem::MaybeUninit;
+use std::ops::Deref;
 use crate::sim::{AtomicBool, DataCell};
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::Arc;
@@ -111,8 +112,7 @@ impl<T> WcqQueue<T> {
     /// Registers the calling thread, returning a handle bound to a free
     /// thread slot, or `None` if all `max_threads` slots are taken.
     pub fn register(&self) -> Option<WcqHandle<'_, T>> {
-        let tid = self.claim_slot()?;
-        Some(WcqHandle { q: self, tid })
+        Handle::claim(&self)
     }
 
     /// Registers the calling thread on an `Arc`-owned queue, returning an
@@ -134,11 +134,7 @@ impl<T> WcqQueue<T> {
     /// assert_eq!(h.dequeue(), Some(7));
     /// ```
     pub fn register_owned(self: &Arc<Self>) -> Option<OwnedWcqHandle<T>> {
-        let tid = self.claim_slot()?;
-        Some(OwnedWcqHandle {
-            q: Arc::clone(self),
-            tid,
-        })
+        Handle::claim(self)
     }
 
     /// Claims a free thread slot, asserting (debug builds) that the record
@@ -282,7 +278,7 @@ impl<T> WcqQueue<T> {
     }
 
     /// Raw batch enqueue under an explicit thread id; see
-    /// [`WcqHandle::enqueue_batch`] for semantics and [`Self::enqueue_raw`]
+    /// [`Handle::enqueue_batch`] for semantics and [`Self::enqueue_raw`]
     /// for why raw operations skip the parking-state ping.
     ///
     /// # Safety
@@ -293,7 +289,7 @@ impl<T> WcqQueue<T> {
     }
 
     /// Raw batch dequeue under an explicit thread id; see
-    /// [`WcqHandle::dequeue_batch`] for semantics.
+    /// [`Handle::dequeue_batch`] for semantics.
     ///
     /// # Safety
     /// Same contract as [`Self::enqueue_raw`].
@@ -408,10 +404,14 @@ impl<T> Drop for WcqQueue<T> {
     }
 }
 
-/// A per-thread handle to a [`WcqQueue`].
+/// A per-thread handle to a [`WcqQueue`], generic over how it holds the
+/// queue: `Q` is `&'q WcqQueue<T>` for a [`WcqHandle`] (from
+/// [`WcqQueue::register`]) or `Arc<WcqQueue<T>>` for an [`OwnedWcqHandle`]
+/// (from [`WcqQueue::register_owned`]), which keeps the queue alive and so
+/// moves freely into `std::thread::spawn` closures and `'static` futures.
 ///
-/// Handles are `Send` but deliberately not `Sync`/`Clone`, and their methods
-/// take `&mut self`: exactly one thread can drive a given thread record at a
+/// Handles are `Send` but deliberately not `Clone`, and their methods take
+/// `&mut self`: exactly one thread can drive a given thread record at a
 /// time, which is the precondition of the helping protocol. Dropping the
 /// handle frees its slot for another thread.
 ///
@@ -419,6 +419,12 @@ impl<T> Drop for WcqQueue<T> {
 /// pair and the batch API, handles implement [`crate::sync::SyncQueue`],
 /// which adds blocking, timeout, and async variants that park on the
 /// empty/full edge instead of spinning.
+pub struct Handle<T, Q: Deref<Target = WcqQueue<T>>> {
+    q: Q,
+    tid: usize,
+}
+
+/// A handle that borrows its queue; see [`Handle`].
 ///
 /// # Example
 /// ```
@@ -431,12 +437,22 @@ impl<T> Drop for WcqQueue<T> {
 /// assert_eq!(h.dequeue(), Some("b"));
 /// assert_eq!(h.dequeue(), None);
 /// ```
-pub struct WcqHandle<'q, T> {
-    q: &'q WcqQueue<T>,
-    tid: usize,
-}
+pub type WcqHandle<'q, T> = Handle<T, &'q WcqQueue<T>>;
+/// A handle that owns a share of its queue; see [`Handle`]. The
+/// [`crate::channel`] senders/receivers are built on these.
+pub type OwnedWcqHandle<T> = Handle<T, Arc<WcqQueue<T>>>;
 
-impl<'q, T> WcqHandle<'q, T> {
+impl<T, Q: Deref<Target = WcqQueue<T>>> Handle<T, Q> {
+    /// Binds a free thread slot of `q`, taking a copy of `q` only once a
+    /// slot is won; `None` when all are taken.
+    fn claim(q: &Q) -> Option<Self>
+    where
+        Q: Clone,
+    {
+        let tid = q.claim_slot()?;
+        Some(Handle { q: q.clone(), tid })
+    }
+
     /// Wait-free enqueue. `Err(v)` returns the value when the queue is full.
     #[inline]
     pub fn enqueue(&mut self, v: T) -> Result<(), T> {
@@ -487,14 +503,9 @@ impl<'q, T> WcqHandle<'q, T> {
     pub fn tid(&self) -> usize {
         self.tid
     }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &'q WcqQueue<T> {
-        self.q
-    }
 }
 
-impl<T> Drop for WcqHandle<'_, T> {
+impl<T, Q: Deref<Target = WcqQueue<T>>> Drop for Handle<T, Q> {
     fn drop(&mut self) {
         // Quiesce-then-release: a bare `store(false)` here would let a new
         // registrant publish a fresh request on a record a helper is still
@@ -505,77 +516,7 @@ impl<T> Drop for WcqHandle<'_, T> {
 
 /// Blocking/async facade: parks on the empty/full edge only; the wait-free
 /// spin operations above are the fast path (see [`crate::sync`]).
-impl<T> SyncQueue for WcqHandle<'_, T> {
-    type Item = T;
-
-    fn sync_state(&self) -> &SyncState {
-        &self.q.sync
-    }
-
-    fn try_enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
-    }
-
-    fn try_dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
-    }
-}
-
-/// An owning per-thread handle to an [`Arc`]-shared [`WcqQueue`].
-///
-/// Semantically identical to [`WcqHandle`] — one exclusive thread record,
-/// `&mut` methods, quiesced slot release on drop — but it keeps the queue
-/// alive instead of borrowing it, so it moves freely into
-/// `std::thread::spawn` closures and `'static` futures. Obtained from
-/// [`WcqQueue::register_owned`]; the [`crate::channel`] senders/receivers
-/// are built on these.
-pub struct OwnedWcqHandle<T> {
-    q: Arc<WcqQueue<T>>,
-    tid: usize,
-}
-
-impl<T> OwnedWcqHandle<T> {
-    /// Wait-free enqueue. `Err(v)` returns the value when the queue is full.
-    #[inline]
-    pub fn enqueue(&mut self, v: T) -> Result<(), T> {
-        self.q.enqueue_tid(self.tid, v)
-    }
-
-    /// Wait-free dequeue; `None` when empty.
-    #[inline]
-    pub fn dequeue(&mut self) -> Option<T> {
-        self.q.dequeue_tid(self.tid)
-    }
-
-    /// Batch enqueue; see [`WcqHandle::enqueue_batch`].
-    pub fn enqueue_batch(&mut self, items: &mut Vec<T>) -> usize {
-        self.q.enqueue_batch_tid(self.tid, items)
-    }
-
-    /// Batch dequeue; see [`WcqHandle::dequeue_batch`].
-    pub fn dequeue_batch(&mut self, out: &mut Vec<T>, max: usize) -> usize {
-        self.q.dequeue_batch_tid(self.tid, out, max)
-    }
-
-    /// The thread slot this handle occupies (diagnostics).
-    pub fn tid(&self) -> usize {
-        self.tid
-    }
-
-    /// The queue this handle belongs to.
-    pub fn queue(&self) -> &Arc<WcqQueue<T>> {
-        &self.q
-    }
-}
-
-impl<T> Drop for OwnedWcqHandle<T> {
-    fn drop(&mut self) {
-        self.q.release_slot(self.tid);
-    }
-}
-
-/// Blocking/async facade; see the [`WcqHandle`] impl.
-impl<T> SyncQueue for OwnedWcqHandle<T> {
+impl<T, Q: Deref<Target = WcqQueue<T>>> SyncQueue for Handle<T, Q> {
     type Item = T;
 
     fn sync_state(&self) -> &SyncState {

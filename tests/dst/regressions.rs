@@ -4,17 +4,24 @@
 //! makes the replay panic). Tapes come straight from the explorer's
 //! failure report (`minimized schedule: "..."`).
 
-/// Degraded-mode residue loss (DESIGN.md §11), found by the explorer on
-/// schedule #2 of `dst_degraded_residue_inheritance`'s default run (seed
-/// `0x5eedcafe`) and minimized to 3 runs: the seat holder takes one value
-/// off the closed channel, the excess receiver is scheduled before the
-/// holder's drop, maps "closed + nothing reachable" to `Closed`, and the
-/// ring residue is never delivered (`[1] != [1, 2]`). Fixed by
-/// `residue_hint` + the seat-release notify; reverting either makes this
-/// replay panic again.
+/// Degraded-mode residue loss (DESIGN.md §11): the seat holder takes one
+/// value off the closed channel, the excess receiver is scheduled before
+/// the holder's drop, maps "closed + nothing reachable" to `Closed`, and
+/// the ring residue is never delivered (`[1] != [1, 2]`). Fixed by
+/// `residue_hint` + the seat-release notify.
+///
+/// Tape provenance: the bug was first found on schedule #2 of
+/// `dst_degraded_residue_inheritance`'s default run (seed `0x5eedcafe`),
+/// but that tape stopped reaching the race as the channel code around it
+/// changed, and went on passing with the fix reverted. This tape was
+/// re-minimized against the current code: with `TopoEndpoint::residue_hint`
+/// stubbed to `false`, the same default run fails on schedule #9 and the
+/// explorer minimizes it to the tape below, which then fails the replay;
+/// with the fix in place the replay passes. If the channel code changes
+/// the schedule again, re-derive the tape the same way.
 #[test]
 fn degraded_residue_minimized_schedule() {
-    shuttle_lite::replay("0*26,1*9,0*5", super::degraded_residue_model);
+    shuttle_lite::replay("0*24,1*6,0*5", super::degraded_residue_model);
 }
 
 /// The slot-handoff ordering downgrade (`SeqCst` → `Acquire`/`Release` in
